@@ -112,13 +112,21 @@ public:
   const std::vector<Symbol *> &locals() const { return Locals; }
   const std::vector<Symbol *> &formals() const { return Formals; }
 
-  /// Recomputes pred/succ edges from the terminators and renumbers
-  /// statement ids. Must be called after structural edits and before any
-  /// analysis.
+  /// Recomputes pred/succ edges from the terminators. Block and statement
+  /// ids are left alone. Must be called after structural edits and before
+  /// any analysis.
   void recomputeCFG();
 
-  /// Returns a fresh statement id (used by passes inserting statements).
+  /// Returns a fresh statement id. BasicBlock::append and insertBefore
+  /// call it, so ids are unique within the function and never reused or
+  /// renumbered: erasing a statement retires its id.
   unsigned nextStmtId() { return NextStmtId++; }
+
+  /// One past the largest statement id handed out so far. Analyses that
+  /// index per-statement tables by ir::Stmt::Id size them by this; a
+  /// statement created after such a table was built has an id at or
+  /// above the table's size.
+  unsigned numStmtIds() const { return NextStmtId; }
 
   /// Whether the function returns a value, and its type.
   bool HasReturnValue = false;

@@ -92,6 +92,10 @@ struct Operand {
   }
 };
 
+/// Deepest dereference chain the verifier accepts (`**q`). Analyses size
+/// their per-level tables by it.
+inline constexpr unsigned MaxRefDepth = 2;
+
 /// A lexical memory reference (access path). See the file comment for the
 /// address computation.
 struct MemRef {

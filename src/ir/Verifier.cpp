@@ -84,7 +84,7 @@ private:
       stmtError(S, "memory reference without base symbol");
       return;
     }
-    if (Ref.Depth > 2) {
+    if (Ref.Depth > MaxRefDepth) {
       stmtError(S, "dereference depth beyond 2 is unsupported");
       return;
     }

@@ -81,6 +81,7 @@ namespace {
 /// `--stats` shows where promotion time goes across a whole run.
 void recordStageTimes(const StageTimings &T) {
   StatsRegistry &R = StatsRegistry::current();
+  R.add("pre.hssa.us", T.HSSA);
   R.add("pre.phiinsertion.us", T.PhiInsertion);
   R.add("pre.rename.us", T.Rename);
   R.add("pre.downsafety.us", T.DownSafety);
@@ -128,13 +129,17 @@ PromotionStats srp::pre::promoteFunction(ir::Function &F,
       DT = &*LocalDT;
       LI = &*LocalLI;
     }
-    PromotionContext Ctx(F, AA, Profile, Edges, Cfg, *DT, *LI);
-    PromotionStats S = runPromotion(Ctx, &Times);
+    std::optional<PromotionContext> Ctx;
+    {
+      ScopedTimer ST(Times.HSSA);
+      Ctx.emplace(F, AA, Profile, Edges, Cfg, *DT, *LI);
+    }
+    PromotionStats S = runPromotion(*Ctx, &Times);
     // The run mutated F iff the plan applied anything or cleanup erased
     // a check; copy propagation below may rewrite further. Invalidate
     // only then — an empty run leaves the cached dominators and loops
     // live for the second (conservative) run and the verifier passes.
-    bool Mutated = !PlanEmpty(Ctx.Plan) || S.ChecksRemovedByCleanup != 0;
+    bool Mutated = !PlanEmpty(Ctx->Plan) || S.ChecksRemovedByCleanup != 0;
     CopyPropStats CP = propagateCopies(F);
     Mutated |= CP.UsesRewritten != 0 || CP.AssignsRemoved != 0;
     if (Mutated) {

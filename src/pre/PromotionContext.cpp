@@ -24,41 +24,11 @@ bool PromotionContext::chiCollapsibleAddr(const ChiRecord &Chi) const {
          Chi.S->isStore() && Chi.Spec;
 }
 
-std::vector<unsigned>
-PromotionContext::canonSigAt(const ExprInfo &E,
-                             const std::vector<unsigned> &Raw) const {
-  std::vector<unsigned> Sig(Raw.size());
-  for (size_t L = 0; L < Raw.size(); ++L) {
-    ObjectId Obj = E.Constituents[L];
-    bool IsData = L + 1 == Raw.size();
-    Sig[L] = IsData ? CanonData[Obj][Raw[L]] : CanonAddr[Obj][Raw[L]];
-  }
-  return Sig;
-}
-
-std::vector<unsigned>
-PromotionContext::rawSigAtEntry(const ExprInfo &E, BasicBlock *BB) const {
-  std::vector<unsigned> Raw;
-  Raw.reserve(E.Constituents.size());
-  for (ObjectId Obj : E.Constituents)
-    Raw.push_back(H.versionAtEntry(BB, Obj));
-  return Raw;
-}
-
-std::vector<unsigned>
-PromotionContext::rawSigAtExit(const ExprInfo &E, BasicBlock *BB) const {
-  std::vector<unsigned> Raw;
-  Raw.reserve(E.Constituents.size());
-  for (ObjectId Obj : E.Constituents)
-    Raw.push_back(H.versionAtExit(BB, Obj));
-  return Raw;
-}
-
-std::vector<unsigned>
-PromotionContext::rawSigOfOcc(const ExprInfo &E, const Occurrence &O) const {
+Sig PromotionContext::rawSigOfOcc(const ExprInfo &E,
+                                  const Occurrence &O) const {
   const StmtAccess *Acc = H.accessInfo(O.S);
   assert(Acc && "occurrence without access info");
-  std::vector<unsigned> Raw = Acc->LevelVers;
+  Sig Raw = Acc->LevelVers;
   if (O.IsStore)
     Raw.back() = Acc->DefVer; // A store provides the version it defines.
   return Raw;

@@ -43,6 +43,10 @@
 
 namespace srp::pre::detail {
 
+/// Constituent versions of an expression at one program point, one per
+/// level object (base first). The last entry is the data level.
+using Sig = ssa::LevelArray<unsigned>;
+
 /// Grouping key of a lexical expression (one promotion candidate).
 struct ExprKey {
   unsigned BaseId;
@@ -104,8 +108,8 @@ struct ExprVer {
   DefKind Kind = DefKind::Real;
   unsigned DefOcc = ~0u;          ///< Real: index into Occs.
   unsigned PhiId = ~0u;           ///< Phi: index into Phis.
-  std::vector<unsigned> CanonSig; ///< canonical constituent versions
-  std::vector<unsigned> RawSig;   ///< raw constituent versions
+  Sig CanonSig;                   ///< canonical constituent versions
+  Sig RawSig;                     ///< raw constituent versions
   bool HasRealUse = false;
   /// Real versions created by a load that matched a Φ version: when the
   /// Φ cannot be materialized, this occurrence anchors later reuses
@@ -208,8 +212,8 @@ struct MutationPlan {
 /// One candidate expression of the current function.
 struct ExprInfo {
   ir::MemRef Ref;
-  std::vector<Occurrence> Occs;            ///< dominator-preorder sorted
-  std::vector<ssa::ObjectId> Constituents; ///< level objects, base first
+  std::vector<Occurrence> Occs;              ///< dominator-preorder sorted
+  ssa::LevelArray<ssa::ObjectId> Constituents; ///< level objects, base first
   unsigned IndexTemp = ir::NoTemp;
 };
 
@@ -218,14 +222,17 @@ struct ExprWork {
   std::vector<ExprPhi> Phis;
   std::vector<ExprVer> Vers;
   std::vector<unsigned> PhiAtBlock; ///< by block id; ~0u if none
-  /// Occurrence indices grouped by block, in block order (filled by
-  /// Rename, reused by DownSafety).
-  std::map<ir::BasicBlock *, std::vector<unsigned>> BlockOccs;
+  /// By block id: the block's occurrences as the index range
+  /// [first, second) into ExprInfo::Occs (filled by Rename, reused by
+  /// DownSafety). Occurrences are in dominator preorder, so each block's
+  /// are contiguous.
+  std::vector<std::pair<unsigned, unsigned>> BlockOccs;
 };
 
 /// Wall time spent per stage (microseconds), recorded by the orchestrator
 /// into StatsRegistry under "pre.<stage>.us".
 struct StageTimings {
+  uint64_t HSSA = 0; ///< building the PromotionContext's HSSA form
   uint64_t PhiInsertion = 0;
   uint64_t Rename = 0;
   uint64_t DownSafety = 0;
@@ -261,8 +268,8 @@ public:
   const ssa::LoopInfo &LI;
   ssa::HSSA H;
 
-  std::vector<std::vector<unsigned>> CanonData; ///< strategy collapse
-  std::vector<std::vector<unsigned>> CanonAddr; ///< cascade collapse
+  ssa::VersionTable CanonData; ///< strategy collapse
+  ssa::VersionTable CanonAddr; ///< cascade collapse
   std::map<ExprKey, ExprInfo> Exprs;
   std::vector<ir::BasicBlock *> TempDefBlock; ///< by temp id; null if none
   std::vector<unsigned> TempDefCount;         ///< defs per temp
@@ -280,14 +287,29 @@ public:
   bool chiCollapsibleAddr(const ssa::ChiRecord &Chi) const;
 
   /// Canonical constituent signature of raw versions \p Raw.
-  std::vector<unsigned> canonSigAt(const ExprInfo &E,
-                                   const std::vector<unsigned> &Raw) const;
-  std::vector<unsigned> rawSigAtEntry(const ExprInfo &E,
-                                      ir::BasicBlock *BB) const;
-  std::vector<unsigned> rawSigAtExit(const ExprInfo &E,
-                                     ir::BasicBlock *BB) const;
-  std::vector<unsigned> rawSigOfOcc(const ExprInfo &E,
-                                    const Occurrence &O) const;
+  Sig canonSigAt(const ExprInfo &E, const Sig &Raw) const {
+    Sig Canon;
+    for (size_t L = 0; L < Raw.size(); ++L) {
+      ssa::ObjectId Obj = E.Constituents[L];
+      bool IsData = L + 1 == Raw.size();
+      Canon.push_back(IsData ? CanonData[Obj][Raw[L]]
+                             : CanonAddr[Obj][Raw[L]]);
+    }
+    return Canon;
+  }
+  Sig rawSigAtEntry(const ExprInfo &E, const ir::BasicBlock *BB) const {
+    Sig Raw;
+    for (ssa::ObjectId Obj : E.Constituents)
+      Raw.push_back(H.versionAtEntry(BB, Obj));
+    return Raw;
+  }
+  Sig rawSigAtExit(const ExprInfo &E, const ir::BasicBlock *BB) const {
+    Sig Raw;
+    for (ssa::ObjectId Obj : E.Constituents)
+      Raw.push_back(H.versionAtExit(BB, Obj));
+    return Raw;
+  }
+  Sig rawSigOfOcc(const ExprInfo &E, const Occurrence &O) const;
 };
 
 //===----------------------------------------------------------------------===//
