@@ -4,12 +4,12 @@
 
 #include "alias/Andersen.h"
 #include "ir/Printer.h"
-#include "ssa/AnalysisCache.h"
 #include "ssa/HSSA.h"
 #include "support/Error.h"
 #include "support/StringUtils.h"
 
 #include <algorithm>
+#include <span>
 
 using namespace srp;
 using namespace srp::analysis;
@@ -45,16 +45,15 @@ std::string analysis::formatTaintDiag(const TaintDiag &D,
 
 namespace srp::analysis {
 
-/// The module fixpoint engine. Builds HSSA once per function, then
-/// iterates: per-function forward dataflow on temp shadows (flow-
+/// The module fixpoint engine. Builds each function's object table once,
+/// then iterates: per-function forward dataflow on temp shadows (flow-
 /// sensitive; OR-join at block heads) with monotone weak updates to the
 /// module-wide symbol shadows, until nothing changes. A final reporting
 /// pass re-runs each function's transfer with the stable state and emits
 /// diagnostics at the sinks.
 class TaintSolver {
 public:
-  TaintSolver(ir::Module &M, TaintFlow &TF, ssa::AnalysisCache *Cache)
-      : M(M), TF(TF) {
+  TaintSolver(ir::Module &M, TaintFlow &TF) : M(M), TF(TF) {
     for (const auto &[S, Index] : interp::specSiteIndex(M))
       TF.SiteBits[S] = 1ULL << Index;
     for (unsigned I = 0, E = M.numSymbols(); I != E; ++I)
@@ -64,21 +63,12 @@ public:
       }
     if (!TF.AnySecret)
       return;
-    // HSSA is immutable once built and the analysis never mutates the IR,
-    // so one build per function serves every iteration.
+    // The analysis never mutates the IR, so one table per function serves
+    // every iteration.
     for (unsigned FI = 0, FE = M.numFunctions(); FI != FE; ++FI) {
       ir::Function &F = *M.function(FI);
-      if (F.numBlocks() == 0)
-        continue;
-      if (Cache) {
-        Forms.push_back(std::make_unique<ssa::HSSA>(
-            F, Cache->dominators(F), *TF.AA, /*Profile=*/nullptr));
-      } else {
-        OwnedDoms.push_back(std::make_unique<ssa::DominatorTree>(F));
-        Forms.push_back(std::make_unique<ssa::HSSA>(F, *OwnedDoms.back(),
-                                                    *TF.AA,
-                                                    /*Profile=*/nullptr));
-      }
+      if (F.numBlocks() != 0)
+        Funcs.push_back(std::make_unique<FunctionState>(F, *TF.AA));
     }
     solve();
     report();
@@ -87,6 +77,89 @@ public:
 private:
   /// Dataflow state: one shadow per temp.
   using State = std::vector<Shadow>;
+
+  /// Memory cell ids an object's content lives in: symbol ids, or Wild.
+  static constexpr unsigned WildCell = ~0u;
+
+  /// One function's object table, block visiting order and OUT states.
+  struct FunctionState {
+    FunctionState(ir::Function &F, const alias::AliasAnalysis &AA)
+        : F(F), Objs(F, AA), NumTemps(F.numTemps()) {
+      // Symbols read their own cell, virtual variables widen to their
+      // points-to set (wild when empty).
+      CellBegin.push_back(0);
+      for (ssa::ObjectId Obj = 0; Obj != Objs.numObjects(); ++Obj) {
+        const ssa::SSAObject &O = Objs.object(Obj);
+        if (!O.isVirtual()) {
+          Cells.push_back(O.Sym->Id);
+        } else {
+          std::vector<const Symbol *> Pointees = AA.mayPointees(O.Ref, &F);
+          if (Pointees.empty())
+            Cells.push_back(WildCell);
+          for (const Symbol *Sym : Pointees)
+            Cells.push_back(Sym->Id);
+        }
+        CellBegin.push_back(static_cast<unsigned>(Cells.size()));
+      }
+      // Reachable blocks in reverse postorder, then the unreachable ones
+      // in id order: every block is solved, but only reachable loads and
+      // stores touch memory.
+      unsigned NumBlocks = F.numBlocks();
+      Reachable.assign(NumBlocks, 0);
+      std::vector<BasicBlock *> Postorder;
+      std::vector<std::pair<BasicBlock *, size_t>> Stack{{F.entry(), 0}};
+      Reachable[F.entry()->getId()] = 1;
+      while (!Stack.empty()) {
+        auto &[BB, Next] = Stack.back();
+        if (Next < BB->succs().size()) {
+          BasicBlock *Succ = BB->succs()[Next++];
+          if (!Reachable[Succ->getId()]) {
+            Reachable[Succ->getId()] = 1;
+            Stack.push_back({Succ, 0});
+          }
+          continue;
+        }
+        Postorder.push_back(BB);
+        Stack.pop_back();
+      }
+      Order.assign(Postorder.rbegin(), Postorder.rend());
+      for (unsigned BI = 0; BI != NumBlocks; ++BI)
+        if (!Reachable[BI])
+          Order.push_back(F.block(BI));
+      OrderPos.resize(NumBlocks);
+      for (unsigned Pos = 0; Pos != NumBlocks; ++Pos)
+        OrderPos[Order[Pos]->getId()] = Pos;
+      Out.assign(size_t(NumBlocks) * NumTemps, Shadow());
+    }
+
+    /// Level objects of \p S, or null (not a memory access, or in a block
+    /// unreachable from the entry).
+    const ssa::LevelArray<ssa::ObjectId> *levels(const BasicBlock *BB,
+                                                 const Stmt &S) const {
+      return Reachable[BB->getId()] ? Objs.levelsOf(&S) : nullptr;
+    }
+
+    std::span<const unsigned> cells(ssa::ObjectId Obj) const {
+      return std::span<const unsigned>(Cells).subspan(
+          CellBegin[Obj], CellBegin[Obj + 1] - CellBegin[Obj]);
+    }
+
+    Shadow *out(const BasicBlock *BB) {
+      return Out.data() + size_t(BB->getId()) * NumTemps;
+    }
+
+    ir::Function &F;
+    ssa::ObjectTable Objs;
+    unsigned NumTemps;
+    std::vector<unsigned> CellBegin, Cells; ///< by object
+    std::vector<char> Reachable;            ///< by block id
+    std::vector<BasicBlock *> Order;        ///< visiting order
+    std::vector<unsigned> OrderPos;         ///< by block id, into Order
+    /// OUT state of every block, [block id * NumTemps + temp]. Kept across
+    /// module iterations: memory only grows, so each solve resumes from
+    /// the previous fixpoint instead of from bottom.
+    std::vector<Shadow> Out;
+  };
 
   static bool merge(Shadow &Into, const Shadow &From) {
     bool Changed = (From.Secret && !Into.Secret) ||
@@ -101,35 +174,25 @@ private:
     return Shadow();
   }
 
-  /// Content shadow of one HSSA object: symbols read their own cell,
-  /// virtual variables widen to their points-to set (wild when empty).
-  Shadow objectShadow(const ssa::HSSA &H, ssa::ObjectId Obj,
-                      const ir::Function *F) const {
-    const ssa::SSAObject &O = H.object(Obj);
-    if (!O.isVirtual())
-      return TF.SymShadow[O.Sym->Id];
+  Shadow &cell(unsigned Id) const {
+    return Id == WildCell ? TF.WildShadow : TF.SymShadow[Id];
+  }
+
+  /// Content shadow of one object: the join of its cells.
+  Shadow objectShadow(const FunctionState &FS, ssa::ObjectId Obj) const {
     Shadow Sh;
-    auto Pointees = TF.AA->mayPointees(O.Ref, F);
-    if (Pointees.empty())
-      return TF.WildShadow;
-    for (const Symbol *Sym : Pointees)
-      Sh.merge(TF.SymShadow[Sym->Id]);
+    for (unsigned Id : FS.cells(Obj))
+      Sh.merge(cell(Id));
     return Sh;
   }
 
-  /// Weak-updates the content of one HSSA object with \p Sh. Returns
-  /// true if any shadow grew.
-  bool taintObject(const ssa::HSSA &H, ssa::ObjectId Obj,
-                   const ir::Function *F, const Shadow &Sh) {
-    const ssa::SSAObject &O = H.object(Obj);
-    if (!O.isVirtual())
-      return merge(TF.SymShadow[O.Sym->Id], Sh);
-    auto Pointees = TF.AA->mayPointees(O.Ref, F);
-    if (Pointees.empty())
-      return merge(TF.WildShadow, Sh);
+  /// Weak-updates the content of one object with \p Sh. Returns true if
+  /// any shadow grew.
+  bool taintObject(const FunctionState &FS, ssa::ObjectId Obj,
+                   const Shadow &Sh) {
     bool Changed = false;
-    for (const Symbol *Sym : Pointees)
-      Changed |= merge(TF.SymShadow[Sym->Id], Sh);
+    for (unsigned Id : FS.cells(Obj))
+      Changed |= merge(cell(Id), Sh);
     return Changed;
   }
 
@@ -137,26 +200,18 @@ private:
   /// every level object the walk dereferences, plus the advanced load's
   /// own site bit (a chain cell an ld.a walks is itself speculative).
   /// Mirrors Execution::computeAccessAddress's WalkShadow.
-  Shadow walkShadow(const ssa::HSSA &H, const ir::Stmt &S,
-                    const ir::Function *F) const {
-    const ssa::StmtAccess *AI = H.accessInfo(&S);
+  Shadow walkShadow(const FunctionState &FS,
+                    const ssa::LevelArray<ssa::ObjectId> *Levels,
+                    const ir::Stmt &S) const {
     Shadow Sh;
-    if (!AI)
+    if (!Levels)
       return Sh;
     unsigned Depth = S.Ref.Depth;
-    for (unsigned L = 0; L < Depth && L < AI->LevelObjs.size(); ++L)
-      Sh.merge(objectShadow(H, AI->LevelObjs[L], F));
+    for (unsigned L = 0; L < Depth && L < Levels->size(); ++L)
+      Sh.merge(objectShadow(FS, (*Levels)[L]));
     if (S.Kind == StmtKind::Load && isAdvancedFlag(S.Flag))
       Sh.Spec |= TF.siteBitOf(&S);
     return Sh;
-  }
-
-  /// Content shadow of the data object (the cell the final read/write
-  /// touches).
-  Shadow dataShadow(const ssa::HSSA &H, const ir::Stmt &S,
-                    const ir::Function *F) const {
-    const ssa::StmtAccess *AI = H.accessInfo(&S);
-    return AI ? objectShadow(H, AI->dataObj(), F) : Shadow();
   }
 
   void setTemp(State &In, unsigned Temp, const Shadow &Sh) {
@@ -168,9 +223,10 @@ private:
   /// memory/summary weak updates are applied and their growth reported
   /// through it; the reporting pass passes null and \p Sink to collect
   /// diagnostics instead.
-  void transfer(const ssa::HSSA &H, const ir::Function *F, const Stmt &S,
-                State &In, bool *GrewMemory,
-                std::vector<TaintDiag> *Sink, const BasicBlock *BB) {
+  void transfer(const FunctionState &FS, const Stmt &S, State &In,
+                bool *GrewMemory, std::vector<TaintDiag> *Sink,
+                const BasicBlock *BB) {
+    const ir::Function *F = &FS.F;
     switch (S.Kind) {
     case StmtKind::Assign: {
       Shadow Sh = operandShadow(In, S.A);
@@ -180,6 +236,7 @@ private:
       break;
     }
     case StmtKind::Load: {
+      const ssa::LevelArray<ssa::ObjectId> *Levels = FS.levels(BB, S);
       bool IsChkA = S.Flag == SpecFlag::ChkA || S.Flag == SpecFlag::ChkAnc;
       Shadow AddrShadow;
       if (S.hasAddrSrc() && !IsChkA) {
@@ -188,7 +245,7 @@ private:
         if (S.AddrSrc < In.size())
           AddrShadow = In[S.AddrSrc];
       } else {
-        AddrShadow = walkShadow(H, S, F);
+        AddrShadow = walkShadow(FS, Levels, S);
         // chk.a re-walks the chain architecturally and refreshes the
         // saved pointer (flow-sensitive strong update, like the
         // interpreter's).
@@ -200,7 +257,9 @@ private:
       if (S.AddrDst != NoTemp)
         setTemp(In, S.AddrDst, AddrShadow);
       emitIf(Sink, TaintDiagKind::SpecSecretAddress, AddrShadow, F, BB, &S);
-      Shadow DstShadow = dataShadow(H, S, F);
+      // The data object is the cell the final read touches.
+      Shadow DstShadow =
+          Levels ? objectShadow(FS, Levels->back()) : Shadow();
       DstShadow.merge(AddrShadow);
       if (isAdvancedFlag(S.Flag))
         DstShadow.Spec |= TF.siteBitOf(&S);
@@ -211,18 +270,16 @@ private:
       break;
     }
     case StmtKind::Store: {
-      Shadow AddrShadow = walkShadow(H, S, F);
+      const ssa::LevelArray<ssa::ObjectId> *Levels = FS.levels(BB, S);
+      Shadow AddrShadow = walkShadow(FS, Levels, S);
       if (S.Ref.hasIndex())
         AddrShadow.merge(operandShadow(In, S.Ref.Index));
       if (S.AddrDst != NoTemp)
         setTemp(In, S.AddrDst, AddrShadow);
       emitIf(Sink, TaintDiagKind::SpecSecretAddress, AddrShadow, F, BB, &S);
-      if (GrewMemory) {
-        const ssa::StmtAccess *AI = H.accessInfo(&S);
-        if (AI)
-          *GrewMemory |=
-              taintObject(H, AI->dataObj(), F, operandShadow(In, S.A));
-      }
+      if (GrewMemory && Levels)
+        *GrewMemory |=
+            taintObject(FS, Levels->back(), operandShadow(In, S.A));
       break;
     }
     case StmtKind::AddrOf:
@@ -293,40 +350,53 @@ private:
     Sink->push_back(std::move(D));
   }
 
-  const ssa::HSSA *formOf(const ir::Function *F) const {
-    for (const auto &H : Forms)
-      if (&H->function() == F)
-        return H.get();
-    return nullptr;
+  /// Sets In to the join of \p BB's predecessors' OUT states.
+  void joinPreds(FunctionState &FS, const BasicBlock *BB) {
+    In.assign(FS.NumTemps, Shadow());
+    for (const BasicBlock *P : BB->preds()) {
+      const Shadow *POut = FS.out(P);
+      for (unsigned T = 0; T < FS.NumTemps; ++T)
+        In[T].merge(POut[T]);
+    }
   }
 
   /// Runs one function's forward dataflow to a local fixpoint under the
-  /// current module state. Returns true if memory/summaries grew. Leaves
-  /// the per-block OUT states in BlockOut[F].
-  bool solveFunction(ir::Function &F) {
-    const ssa::HSSA *H = formOf(&F);
-    if (!H)
-      return false;
-    auto &Out = BlockOut[&F];
-    Out.assign(F.numBlocks(), State(F.numTemps()));
+  /// current module state, from a worklist in the function's block order.
+  /// Returns true if memory/summaries grew. Leaves the per-block OUT
+  /// states in FS.Out.
+  bool solveFunction(FunctionState &FS) {
+    ir::Function &F = FS.F;
     bool GrewMemory = false;
-    bool LocalChanged = true;
-    // The state is finite and every transfer monotone in it, so the loop
-    // terminates; the block count bounds the longest acyclic chain.
-    while (LocalChanged) {
-      LocalChanged = false;
-      for (unsigned BI = 0, BE = F.numBlocks(); BI != BE; ++BI) {
-        BasicBlock *BB = F.block(BI);
-        State In(F.numTemps());
-        for (const BasicBlock *P : BB->preds())
-          for (unsigned T = 0; T < In.size(); ++T)
-            In[T].merge(Out[P->getId()][T]);
+    // Every block is visited once; afterwards only blocks whose
+    // predecessors' OUT grew. The state is finite and every transfer
+    // monotone, so this terminates.
+    Pending.assign(FS.Order.size(), 1);
+    size_t NumPending = FS.Order.size();
+    while (NumPending != 0) {
+      for (unsigned Pos = 0; Pos != FS.Order.size(); ++Pos) {
+        if (!Pending[Pos])
+          continue;
+        Pending[Pos] = 0;
+        --NumPending;
+        BasicBlock *BB = FS.Order[Pos];
+        joinPreds(FS, BB);
         for (size_t SI = 0, SE = BB->size(); SI != SE; ++SI)
-          transfer(*H, &F, *BB->stmt(SI), In, &GrewMemory,
-                   /*Sink=*/nullptr, BB);
+          transfer(FS, *BB->stmt(SI), In, &GrewMemory, /*Sink=*/nullptr,
+                   BB);
         transferTerminator(&F, BB, In, &GrewMemory, /*Sink=*/nullptr);
-        for (unsigned T = 0; T < In.size(); ++T)
-          LocalChanged |= merge(Out[BI][T], In[T]);
+        Shadow *Out = FS.out(BB);
+        bool Changed = false;
+        for (unsigned T = 0; T < FS.NumTemps; ++T)
+          Changed |= merge(Out[T], In[T]);
+        if (!Changed)
+          continue;
+        for (const BasicBlock *Succ : BB->succs()) {
+          unsigned SuccPos = FS.OrderPos[Succ->getId()];
+          if (!Pending[SuccPos]) {
+            Pending[SuccPos] = 1;
+            ++NumPending;
+          }
+        }
       }
     }
     return GrewMemory;
@@ -337,8 +407,8 @@ private:
     while (Changed) {
       Changed = false;
       ++TF.Iterations;
-      for (unsigned FI = 0, FE = M.numFunctions(); FI != FE; ++FI)
-        Changed |= solveFunction(*M.function(FI));
+      for (const std::unique_ptr<FunctionState> &FS : Funcs)
+        Changed |= solveFunction(*FS);
       // Summaries feeding call sites change temp states too, so one more
       // sweep runs whenever anything grew; the finite lattice bounds the
       // iteration count.
@@ -346,27 +416,21 @@ private:
   }
 
   /// Emits diagnostics and the final per-temp shadows with the stable
-  /// state. Re-runs each block's transfer from its (now stable) IN.
+  /// state. Re-runs each block's transfer from its (now stable) IN, in
+  /// block id order.
   void report() {
-    for (unsigned FI = 0, FE = M.numFunctions(); FI != FE; ++FI) {
-      ir::Function &F = *M.function(FI);
-      const ssa::HSSA *H = formOf(&F);
-      if (!H)
-        continue;
-      auto &Out = BlockOut[&F];
+    for (const std::unique_ptr<FunctionState> &FS : Funcs) {
+      ir::Function &F = FS->F;
       State &Final = TF.TempShadows[&F];
-      Final.assign(F.numTemps(), Shadow());
+      Final.assign(FS->NumTemps, Shadow());
       for (unsigned BI = 0, BE = F.numBlocks(); BI != BE; ++BI) {
         BasicBlock *BB = F.block(BI);
-        State In(F.numTemps());
-        for (const BasicBlock *P : BB->preds())
-          for (unsigned T = 0; T < In.size(); ++T)
-            In[T].merge(Out[P->getId()][T]);
+        joinPreds(*FS, BB);
         for (size_t SI = 0, SE = BB->size(); SI != SE; ++SI)
-          transfer(*H, &F, *BB->stmt(SI), In, /*GrewMemory=*/nullptr,
+          transfer(*FS, *BB->stmt(SI), In, /*GrewMemory=*/nullptr,
                    &TF.Diags, BB);
         transferTerminator(&F, BB, In, /*GrewMemory=*/nullptr, &TF.Diags);
-        for (unsigned T = 0; T < In.size(); ++T)
+        for (unsigned T = 0; T < FS->NumTemps; ++T)
           Final[T].merge(In[T]);
       }
     }
@@ -374,10 +438,12 @@ private:
 
   ir::Module &M;
   TaintFlow &TF;
-  std::vector<std::unique_ptr<ssa::DominatorTree>> OwnedDoms;
-  std::vector<std::unique_ptr<ssa::HSSA>> Forms;
+  std::vector<std::unique_ptr<FunctionState>> Funcs; ///< in module order
   std::map<const ir::Function *, Shadow> RetSummary;
-  std::map<const ir::Function *, std::vector<State>> BlockOut;
+  /// Scratch reused across blocks: the IN state being transferred, and
+  /// the worklist flags of solveFunction (by position in the order).
+  State In;
+  std::vector<char> Pending;
 };
 
 } // namespace srp::analysis
@@ -393,7 +459,7 @@ TaintFlow::TaintFlow(ir::Module &M, const TaintFlowConfig &Config) {
     AA = OwnedAA.get();
   }
   SymShadow.assign(M.numSymbols(), Shadow());
-  TaintSolver Solver(M, *this, Config.Cache);
+  TaintSolver Solver(M, *this);
 }
 
 TaintFlow::~TaintFlow() = default;

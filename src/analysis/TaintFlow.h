@@ -5,7 +5,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Static, interprocedural secret-taint analysis over the HSSA form.
+/// Static, interprocedural secret-taint analysis over the HSSA object
+/// table.
 ///
 /// `secret`-annotated symbols (globals, formals, locals — see ir::Symbol::
 /// Secret) are taint sources. The analysis propagates a two-part shadow
@@ -29,11 +30,13 @@
 /// the check and speculative inside the window; a forward CFG dataflow
 /// with OR-join captures exactly that) and flow-insensitive on memory
 /// (one monotone shadow per symbol, weak updates only). Memory edges go
-/// through the HSSA μ/χ object sets: each access level of a load/store
-/// maps to the SSAObject the HSSA builder planned for it, and virtual
-/// objects widen to their points-to sets (Andersen by default). An
-/// access level whose points-to set is empty falls back to a module-wide
-/// "wild" shadow so no store's taint is ever dropped.
+/// through the HSSA objects (ssa::ObjectTable, the table the HSSA form
+/// builds on, without its χ/μ, φs and versions): each access level of a
+/// load/store maps to its SSAObject, and virtual objects widen to their
+/// points-to sets (Andersen by default). An access level whose points-to
+/// set is empty falls back to a module-wide "wild" shadow so no store's
+/// taint is ever dropped. Loads and stores in blocks unreachable from
+/// the entry touch no memory.
 ///
 /// The shadow rules mirror interp::Interpreter's dynamic taint mode
 /// statement by statement, with the static side always over-approximating
@@ -59,10 +62,6 @@
 namespace srp::alias {
 class AliasAnalysis;
 } // namespace srp::alias
-
-namespace srp::ssa {
-class AnalysisCache;
-} // namespace srp::ssa
 
 namespace srp::analysis {
 
@@ -93,11 +92,9 @@ std::string formatTaintDiag(const TaintDiag &D, std::string_view File = {});
 
 /// Knobs for one analysis run.
 struct TaintFlowConfig {
-  /// Points-to backing for the μ/χ object sets. When null the analysis
+  /// Points-to backing for the memory objects. When null the analysis
   /// builds its own alias::AndersenAnalysis.
   const alias::AliasAnalysis *AA = nullptr;
-  /// Dominator-tree cache to reuse (the pass pipeline's); optional.
-  ssa::AnalysisCache *Cache = nullptr;
 };
 
 /// The analysis result. Construction runs the module fixpoint; the object
@@ -126,7 +123,7 @@ public:
   /// Site bit of an advanced-load statement (0 for anything else).
   uint64_t siteBitOf(const ir::Stmt *S) const;
 
-  /// Name of the alias analysis backing the μ/χ object sets.
+  /// Name of the alias analysis backing the memory objects.
   const char *aliasName() const;
 
   /// The alias analysis the solve used (the witness builder reuses it so

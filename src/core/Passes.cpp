@@ -275,7 +275,6 @@ public:
       S.AA = std::make_unique<alias::SteensgaardAnalysis>(M);
     analysis::TaintFlowConfig TFC;
     TFC.AA = S.AA.get();
-    TFC.Cache = &S.analyses();
     analysis::TaintFlow TF(M, TFC);
     S.Result.TaintDiags = TF.diags();
     if (S.Config.TaintCheck == SpecVerifyMode::Fatal &&
