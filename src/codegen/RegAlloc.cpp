@@ -5,6 +5,7 @@
 #include "support/Error.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <set>
 
@@ -57,11 +58,10 @@ private:
 
   /// Successor blocks of BI, derived from the terminator (plus call
   /// resume and chk.a recovery edges).
-  std::vector<unsigned> successors(unsigned BI) const {
-    std::vector<unsigned> Out;
+  void appendSuccessors(unsigned BI, std::vector<unsigned> &Out) const {
     const auto &Instrs = F.block(BI).Instrs;
     if (Instrs.empty())
-      return Out;
+      return;
     const MInstr &T = Instrs.back();
     switch (T.Op) {
     case MOp::Br:
@@ -87,38 +87,69 @@ private:
         Out.push_back(BI + 1);
       break;
     }
-    return Out;
   }
 
+  /// Live-variable sets are bit vectors over the virtual registers, one
+  /// row of Words 64-bit words per block.
+  uint64_t *row(std::vector<uint64_t> &Set, unsigned BI) {
+    return Set.data() + size_t(BI) * Words;
+  }
+  const uint64_t *row(const std::vector<uint64_t> &Set, unsigned BI) const {
+    return Set.data() + size_t(BI) * Words;
+  }
+  static void setBit(uint64_t *Row, unsigned V) {
+    Row[V / 64] |= uint64_t(1) << (V % 64);
+  }
+  static void clearBit(uint64_t *Row, unsigned V) {
+    Row[V / 64] &= ~(uint64_t(1) << (V % 64));
+  }
+
+  /// Backward liveness: LiveIn = Use ∪ (LiveOut − Def) per block, solved
+  /// to the least fixpoint.
   void computeLiveness() {
-    unsigned NumV = F.numVirtualRegs();
-    LiveIn.assign(F.numBlocks(), std::vector<bool>(NumV, false));
-    LiveOut.assign(F.numBlocks(), std::vector<bool>(NumV, false));
+    unsigned NumBlocks = F.numBlocks();
+    Words = (F.numVirtualRegs() + 63) / 64;
+    // Per block: Use (read before any write in the block) and Def
+    // (written in the block), from one backward walk.
+    std::vector<uint64_t> Use(size_t(NumBlocks) * Words, 0);
+    std::vector<uint64_t> Def(size_t(NumBlocks) * Words, 0);
+    std::vector<unsigned> SuccBegin(NumBlocks + 1, 0), Succs;
+    for (unsigned BI = 0; BI < NumBlocks; ++BI) {
+      uint64_t *U = row(Use, BI), *D = row(Def, BI);
+      const auto &Instrs = F.block(BI).Instrs;
+      for (auto It = Instrs.rbegin(); It != Instrs.rend(); ++It) {
+        if (It->definesReg() && isVirtualReg(It->Rd)) {
+          clearBit(U, vindex(It->Rd));
+          setBit(D, vindex(It->Rd));
+        }
+        unsigned Srcs[3];
+        unsigned Count;
+        It->sources(Srcs, Count);
+        for (unsigned K = 0; K < Count; ++K)
+          if (isVirtualReg(Srcs[K]))
+            setBit(U, vindex(Srcs[K]));
+      }
+      appendSuccessors(BI, Succs);
+      SuccBegin[BI + 1] = static_cast<unsigned>(Succs.size());
+    }
+    LiveIn.assign(size_t(NumBlocks) * Words, 0);
+    LiveOut.assign(size_t(NumBlocks) * Words, 0);
     bool Changed = true;
     while (Changed) {
       Changed = false;
-      for (unsigned BI = F.numBlocks(); BI-- > 0;) {
-        std::vector<bool> Out(NumV, false);
-        for (unsigned Succ : successors(BI))
-          for (unsigned V = 0; V < NumV; ++V)
-            if (LiveIn[Succ][V])
-              Out[V] = true;
-        std::vector<bool> In = Out;
-        const auto &Instrs = F.block(BI).Instrs;
-        for (auto It = Instrs.rbegin(); It != Instrs.rend(); ++It) {
-          if (It->definesReg() && isVirtualReg(It->Rd))
-            In[vindex(It->Rd)] = false;
-          unsigned Srcs[3];
-          unsigned Count;
-          It->sources(Srcs, Count);
-          for (unsigned K = 0; K < Count; ++K)
-            if (isVirtualReg(Srcs[K]))
-              In[vindex(Srcs[K])] = true;
-        }
-        if (In != LiveIn[BI] || Out != LiveOut[BI]) {
-          LiveIn[BI] = std::move(In);
-          LiveOut[BI] = std::move(Out);
-          Changed = true;
+      for (unsigned BI = NumBlocks; BI-- > 0;) {
+        uint64_t *In = row(LiveIn, BI), *Out = row(LiveOut, BI);
+        const uint64_t *U = row(Use, BI), *D = row(Def, BI);
+        for (unsigned W = 0; W < Words; ++W) {
+          uint64_t NewOut = 0;
+          for (unsigned SI = SuccBegin[BI]; SI != SuccBegin[BI + 1]; ++SI)
+            NewOut |= row(LiveIn, Succs[SI])[W];
+          uint64_t NewIn = U[W] | (NewOut & ~D[W]);
+          if (NewIn != In[W] || NewOut != Out[W]) {
+            In[W] = NewIn;
+            Out[W] = NewOut;
+            Changed = true;
+          }
         }
       }
     }
@@ -154,12 +185,14 @@ private:
           Tracked[vindex(I.Rs1)] = true;
         ++Pos;
       }
-      for (unsigned V = 0; V < NumV; ++V) {
-        if (LiveIn[BI][V])
-          Extend(V, BlockStart[BI]);
-        if (LiveOut[BI][V])
-          Extend(V, BlockEnd[BI] == 0 ? 0 : BlockEnd[BI] - 1);
-      }
+      auto ExtendLive = [&](const uint64_t *Row, unsigned Pos) {
+        for (unsigned W = 0; W < Words; ++W)
+          for (uint64_t Bits = Row[W]; Bits; Bits &= Bits - 1)
+            Extend(W * 64 + static_cast<unsigned>(std::countr_zero(Bits)),
+                   Pos);
+      };
+      ExtendLive(row(LiveIn, BI), BlockStart[BI]);
+      ExtendLive(row(LiveOut, BI), BlockEnd[BI] == 0 ? 0 : BlockEnd[BI] - 1);
     }
     for (unsigned V = 0; V < NumV; ++V) {
       if (!Seen[V])
@@ -269,9 +302,9 @@ private:
 
   void rewrite() {
     // Map vreg -> interval.
-    std::map<unsigned, Interval *> ByReg;
+    std::vector<Interval *> ByReg(F.numVirtualRegs(), nullptr);
     for (Interval &IV : Intervals)
-      ByReg[IV.VReg] = &IV;
+      ByReg[vindex(IV.VReg)] = &IV;
 
     for (unsigned BI = 0; BI < F.numBlocks(); ++BI) {
       auto &Instrs = F.block(BI).Instrs;
@@ -283,7 +316,7 @@ private:
         auto MapSrc = [&](unsigned &Reg) {
           if (!isVirtualReg(Reg))
             return;
-          Interval *IV = ByReg.at(Reg);
+          Interval *IV = ByReg[vindex(Reg)];
           if (!IV->Spilled) {
             Reg = IV->Assigned;
             return;
@@ -303,7 +336,7 @@ private:
           MapSrc(I.Rs2);
         MapSrc(I.Rs3);
         if (I.definesReg() && isVirtualReg(I.Rd)) {
-          Interval *IV = ByReg.at(I.Rd);
+          Interval *IV = ByReg[vindex(I.Rd)];
           if (!IV->Spilled) {
             I.Rd = IV->Assigned;
             Out.push_back(I);
@@ -345,7 +378,8 @@ private:
   RegAllocStats &Stats;
   std::vector<unsigned> BlockStart, BlockEnd;
   unsigned NumPositions = 0;
-  std::vector<std::vector<bool>> LiveIn, LiveOut;
+  unsigned Words = 0; ///< 64-bit words per liveness row
+  std::vector<uint64_t> LiveIn, LiveOut; ///< [block * Words + word]
   std::vector<Interval> Intervals;
 };
 
