@@ -2,51 +2,44 @@
 
 #include "pre/CopyProp.h"
 
-#include <map>
 #include <vector>
 
 using namespace srp;
 using namespace srp::ir;
 using namespace srp::pre;
 
-namespace {
-
-/// Chases a temp through the currently-valid copy map.
-unsigned chase(const std::map<unsigned, unsigned> &CopyOf, unsigned Temp) {
-  auto It = CopyOf.find(Temp);
-  while (It != CopyOf.end()) {
-    Temp = It->second;
-    It = CopyOf.find(Temp);
-  }
-  return Temp;
-}
-
-} // namespace
-
 CopyPropStats srp::pre::propagateCopies(ir::Function &F) {
   CopyPropStats Stats;
 
-  // Pass 1: block-local propagation.
+  // Pass 1: block-local propagation. CopyOf[t] is the temp t is a copy of
+  // (NoTemp if none); Keys lists the temps given an entry in this block.
+  std::vector<unsigned> CopyOf(F.numTemps(), NoTemp);
+  std::vector<unsigned> Keys;
+  // Chases a temp through the currently-valid copies.
+  auto Chase = [&](unsigned Temp) {
+    while (CopyOf[Temp] != NoTemp)
+      Temp = CopyOf[Temp];
+    return Temp;
+  };
   for (unsigned BI = 0; BI < F.numBlocks(); ++BI) {
     BasicBlock *BB = F.block(BI);
-    std::map<unsigned, unsigned> CopyOf;
+    for (unsigned K : Keys)
+      CopyOf[K] = NoTemp;
+    Keys.clear();
     auto Rewrite = [&](Operand &Op) {
       if (!Op.isTemp())
         return;
-      unsigned To = chase(CopyOf, Op.TempId);
+      unsigned To = Chase(Op.TempId);
       if (To != Op.TempId) {
         Op.TempId = To;
         ++Stats.UsesRewritten;
       }
     };
     auto Invalidate = [&](unsigned Redefined) {
-      CopyOf.erase(Redefined);
-      for (auto It = CopyOf.begin(); It != CopyOf.end();) {
-        if (It->second == Redefined)
-          It = CopyOf.erase(It);
-        else
-          ++It;
-      }
+      CopyOf[Redefined] = NoTemp;
+      for (unsigned K : Keys)
+        if (CopyOf[K] == Redefined)
+          CopyOf[K] = NoTemp;
     };
     for (size_t SI = 0; SI < BB->size(); ++SI) {
       Stmt *S = BB->stmt(SI);
@@ -57,7 +50,7 @@ CopyPropStats srp::pre::propagateCopies(ir::Function &F) {
       for (Operand &Arg : S->Args)
         Rewrite(Arg);
       if (S->AddrSrc != NoTemp) {
-        unsigned To = chase(CopyOf, S->AddrSrc);
+        unsigned To = Chase(S->AddrSrc);
         if (To != S->AddrSrc) {
           S->AddrSrc = To;
           ++Stats.UsesRewritten;
@@ -70,10 +63,13 @@ CopyPropStats srp::pre::propagateCopies(ir::Function &F) {
       if (S->Kind == StmtKind::Store && S->AlatDst != NoTemp)
         Invalidate(S->AlatDst);
       // Skip self-copies (a rewritten `t = copy t`): recording t->t would
-      // put a cycle in the map and send chase() spinning.
+      // put a cycle in CopyOf and send Chase spinning.
       if (S->Kind == StmtKind::Assign && S->Op == Opcode::Copy &&
-          S->A.isTemp() && S->A.TempId != S->Dst)
+          S->A.isTemp() && S->A.TempId != S->Dst) {
+        if (CopyOf[S->Dst] == NoTemp)
+          Keys.push_back(S->Dst);
         CopyOf[S->Dst] = S->A.TempId;
+      }
     }
     Rewrite(BB->term().Cond);
     Rewrite(BB->term().RetVal);

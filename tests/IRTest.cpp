@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 using namespace srp;
 using namespace srp::ir;
 
@@ -108,6 +110,66 @@ TEST(CFGTest, InsertBeforeAndErase) {
   EXPECT_EQ(BB->positionOf(Inserted), 1u);
   BB->erase(1);
   EXPECT_EQ(BB->size(), 2u);
+}
+
+/// Statement ids are unique within a function and never renumbered:
+/// per-statement analysis tables (HSSA, the alias profile) are keyed by
+/// them across recomputeCFG, insertions and erasures.
+TEST(CFGTest, StmtIdsStableAcrossEdits) {
+  Module M;
+  Symbol *A = M.createGlobal("a", TypeKind::Int);
+  IRBuilder B(M);
+  Function *F = B.startFunction("main");
+  B.emitStore(directRef(A), Operand::constInt(1));
+  BasicBlock *Then = B.createBlock("then");
+  BasicBlock *Else = B.createBlock("else");
+  B.setCondBr(Operand::constInt(1), Then, Else);
+  B.setBlock(Then);
+  B.emitLoad(directRef(A));
+  B.setRet();
+  B.setBlock(Else);
+  B.emitStore(directRef(A), Operand::constInt(2));
+  B.setRet();
+
+  auto Ids = [&] {
+    std::vector<std::pair<const Stmt *, unsigned>> Out;
+    for (unsigned BI = 0; BI < F->numBlocks(); ++BI)
+      for (size_t SI = 0; SI < F->block(BI)->size(); ++SI)
+        Out.push_back({F->block(BI)->stmt(SI), F->block(BI)->stmt(SI)->Id});
+    return Out;
+  };
+  auto Before = Ids();
+  unsigned NumIds = F->numStmtIds();
+  EXPECT_EQ(NumIds, 3u);
+
+  F->recomputeCFG();
+  EXPECT_EQ(Ids(), Before);
+  EXPECT_EQ(F->numStmtIds(), NumIds);
+
+  Stmt Probe;
+  Probe.Kind = StmtKind::Print;
+  Probe.A = Operand::constInt(9);
+  Stmt *Inserted = F->entry()->insertBefore(0, Probe);
+  EXPECT_EQ(Inserted->Id, NumIds) << "insertions take a fresh id";
+  EXPECT_EQ(F->numStmtIds(), NumIds + 1);
+  Then->erase(0);
+  F->recomputeCFG();
+
+  // Every surviving statement keeps its id; ids stay unique and below
+  // numStmtIds(), and the erased statement's id is not handed out again.
+  std::set<unsigned> Seen;
+  for (const auto &[S, Id] : Ids()) {
+    EXPECT_TRUE(Seen.insert(Id).second) << "duplicate id " << Id;
+    EXPECT_LT(Id, F->numStmtIds());
+    for (const auto &[OldS, OldId] : Before) {
+      if (OldS == S) {
+        EXPECT_EQ(Id, OldId);
+      }
+    }
+  }
+  EXPECT_EQ(Seen.size(), 3u);
+  Stmt *Appended = Else->append(Probe);
+  EXPECT_EQ(Appended->Id, NumIds + 1);
 }
 
 TEST(MemRefTest, LexicalIdentity) {
