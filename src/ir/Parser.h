@@ -28,6 +28,12 @@
 ///   MEMREF  := '*'* NAME ('[' OPERAND ']')? ('{' ±INT '}')? (':flt')?
 ///   OPERAND := tN | INT | FLOATf
 ///
+/// INT is a decimal int64. FLOAT is a decimal literal (digits, '.', an
+/// 'e' exponent) whose value a double holds without overflowing or
+/// underflowing to zero. A malformed or out-of-range number is an error,
+/// not its longest valid prefix or a saturated value. A line whose last
+/// character is ':' is a block label.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef SRP_IR_PARSER_H

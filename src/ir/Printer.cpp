@@ -1,176 +1,302 @@
 //===- Printer.cpp - Textual IR output -------------------------------------===//
+//
+// Every entry point goes through one append-only writer over a std::string:
+// numbers are formatted in place with std::to_chars, so printing a module
+// makes no temporary strings. Integers print as "%lld"/"%u" would and
+// floats in general format at precision 6, which is what "%g" prints.
+//
+//===----------------------------------------------------------------------===//
 
 #include "ir/Printer.h"
 
 #include "ir/CFG.h"
 #include "support/OStream.h"
-#include "support/StringUtils.h"
+
+#include <charconv>
 
 using namespace srp;
 using namespace srp::ir;
 
-std::string srp::ir::operandToString(const Operand &Op) {
-  switch (Op.K) {
-  case Operand::Kind::None:
-    return "<none>";
-  case Operand::Kind::Temp:
-    return formatString("t%u", Op.TempId);
-  case Operand::Kind::ConstInt:
-    return formatString("%lld", static_cast<long long>(Op.IntVal));
-  case Operand::Kind::ConstFloat:
-    return formatString("%gf", Op.FloatVal);
-  }
-  return "<invalid>";
-}
+namespace {
 
-std::string srp::ir::memRefToString(const MemRef &Ref) {
-  std::string Out;
-  for (unsigned I = 0; I < Ref.Depth; ++I)
-    Out += '*';
-  Out += Ref.Base ? Ref.Base->Name : "<null>";
-  if (Ref.hasIndex())
-    Out += '[' + operandToString(Ref.Index) + ']';
-  if (Ref.Offset != 0)
-    Out += formatString("{%+lld}", static_cast<long long>(Ref.Offset));
-  if (Ref.ValueType == TypeKind::Float && Ref.isIndirect())
-    Out += ":flt";
-  return Out;
-}
+class Writer {
+public:
+  explicit Writer(std::string &Out) : Out(Out) {}
 
-void srp::ir::printStmt(const Stmt &S, OStream &OS) {
-  auto Temp = [](unsigned Id) { return formatString("t%u", Id); };
-  switch (S.Kind) {
-  case StmtKind::Assign:
-    OS << Temp(S.Dst) << " = " << opcodeName(S.Op) << ' '
-       << operandToString(S.A);
-    if (!S.B.isNone())
-      OS << ", " << operandToString(S.B);
-    if (!S.C.isNone())
-      OS << ", " << operandToString(S.C);
-    break;
-  case StmtKind::Load:
-    OS << Temp(S.Dst) << " = ld";
-    if (S.Flag != SpecFlag::None)
-      OS << '<' << specFlagName(S.Flag) << '>';
-    OS << ' ' << memRefToString(S.Ref);
-    if (S.AddrSrc != NoTemp)
-      OS << " @addr(" << Temp(S.AddrSrc) << ')';
-    if (S.AddrDst != NoTemp)
-      OS << " addr->" << Temp(S.AddrDst);
-    break;
-  case StmtKind::Store:
-    OS << (S.StA ? "st<st.a> " : "st ") << memRefToString(S.Ref) << " = "
-       << operandToString(S.A);
-    if (S.AddrDst != NoTemp)
-      OS << " addr->" << Temp(S.AddrDst);
-    if (S.AlatDst != NoTemp)
-      OS << " alat->" << Temp(S.AlatDst);
-    break;
-  case StmtKind::AddrOf:
-    OS << Temp(S.Dst) << " = addrof " << memRefToString(S.Ref);
-    break;
-  case StmtKind::Alloc:
-    OS << Temp(S.Dst) << " = alloc " << operandToString(S.A) << " @"
-       << (S.HeapSym ? S.HeapSym->Name : "<null>");
-    break;
-  case StmtKind::Call:
-    if (S.Dst != NoTemp)
-      OS << Temp(S.Dst) << " = ";
-    OS << "call " << (S.Callee ? S.Callee->getName() : "<null>") << '(';
-    for (size_t I = 0; I < S.Args.size(); ++I) {
-      if (I)
-        OS << ", ";
-      OS << operandToString(S.Args[I]);
+  void module(const Module &M) {
+    for (const Symbol *Global : M.globals()) {
+      Out += "global ";
+      symbolDecl(*Global);
+      Out += '\n';
     }
-    OS << ')';
-    break;
-  case StmtKind::Invala:
-    OS << "invala " << Temp(S.Dst);
-    break;
-  case StmtKind::Print:
-    OS << "print " << operandToString(S.A);
-    break;
+    for (unsigned I = 0, E = M.numFunctions(); I != E; ++I) {
+      Out += '\n';
+      function(*M.function(I));
+    }
   }
-}
 
-std::string srp::ir::stmtToString(const Stmt &S) {
-  std::string Buffer;
-  StringOStream OS(Buffer);
-  printStmt(S, OS);
-  return Buffer;
-}
-
-static void printSymbolDecl(const Symbol &Sym, OStream &OS) {
-  OS << Sym.Name << " : " << typeName(Sym.ElemType);
-  if (!Sym.isScalar())
-    OS << '[' << Sym.NumElems << ']';
-  if (Sym.Secret)
-    OS << " secret";
-}
-
-static void printTerminator(const Terminator &T, OStream &OS) {
-  switch (T.Kind) {
-  case TermKind::Br:
-    OS << "br " << T.Target->getName();
-    break;
-  case TermKind::CondBr:
-    OS << "condbr " << operandToString(T.Cond) << ", "
-       << T.Target->getName() << ", " << T.FalseTarget->getName();
-    break;
-  case TermKind::Ret:
-    OS << "ret";
-    if (!T.RetVal.isNone())
-      OS << ' ' << operandToString(T.RetVal);
-    break;
+  void function(const Function &F) {
+    Out += "func ";
+    Out += F.getName();
+    Out += '(';
+    for (size_t I = 0; I < F.formals().size(); ++I) {
+      if (I)
+        Out += ", ";
+      symbolDecl(*F.formals()[I]);
+    }
+    Out += ')';
+    if (F.HasReturnValue) {
+      Out += " -> ";
+      Out += typeName(F.ReturnType);
+    }
+    Out += " {\n";
+    for (const Symbol *Local : F.locals()) {
+      Out += "  local ";
+      symbolDecl(*Local);
+      Out += '\n';
+    }
+    for (unsigned I = 0, E = F.numBlocks(); I != E; ++I) {
+      const BasicBlock *BB = F.block(I);
+      Out += BB->getName();
+      Out += ":\n";
+      for (size_t J = 0, SE = BB->size(); J != SE; ++J) {
+        Out += "  ";
+        stmt(*BB->stmt(J));
+        Out += '\n';
+      }
+      Out += "  ";
+      terminator(BB->term());
+      Out += '\n';
+    }
+    Out += "}\n";
   }
+
+  void stmt(const Stmt &S) {
+    switch (S.Kind) {
+    case StmtKind::Assign:
+      temp(S.Dst);
+      Out += " = ";
+      Out += opcodeName(S.Op);
+      Out += ' ';
+      operand(S.A);
+      if (!S.B.isNone()) {
+        Out += ", ";
+        operand(S.B);
+      }
+      if (!S.C.isNone()) {
+        Out += ", ";
+        operand(S.C);
+      }
+      break;
+    case StmtKind::Load:
+      temp(S.Dst);
+      Out += " = ld";
+      if (S.Flag != SpecFlag::None) {
+        Out += '<';
+        Out += specFlagName(S.Flag);
+        Out += '>';
+      }
+      Out += ' ';
+      memRef(S.Ref);
+      if (S.AddrSrc != NoTemp) {
+        Out += " @addr(";
+        temp(S.AddrSrc);
+        Out += ')';
+      }
+      if (S.AddrDst != NoTemp) {
+        Out += " addr->";
+        temp(S.AddrDst);
+      }
+      break;
+    case StmtKind::Store:
+      Out += S.StA ? "st<st.a> " : "st ";
+      memRef(S.Ref);
+      Out += " = ";
+      operand(S.A);
+      if (S.AddrDst != NoTemp) {
+        Out += " addr->";
+        temp(S.AddrDst);
+      }
+      if (S.AlatDst != NoTemp) {
+        Out += " alat->";
+        temp(S.AlatDst);
+      }
+      break;
+    case StmtKind::AddrOf:
+      temp(S.Dst);
+      Out += " = addrof ";
+      memRef(S.Ref);
+      break;
+    case StmtKind::Alloc:
+      temp(S.Dst);
+      Out += " = alloc ";
+      operand(S.A);
+      Out += " @";
+      Out += S.HeapSym ? std::string_view(S.HeapSym->Name) : "<null>";
+      break;
+    case StmtKind::Call:
+      if (S.Dst != NoTemp) {
+        temp(S.Dst);
+        Out += " = ";
+      }
+      Out += "call ";
+      Out += S.Callee ? std::string_view(S.Callee->getName()) : "<null>";
+      Out += '(';
+      for (size_t I = 0; I < S.Args.size(); ++I) {
+        if (I)
+          Out += ", ";
+        operand(S.Args[I]);
+      }
+      Out += ')';
+      break;
+    case StmtKind::Invala:
+      Out += "invala ";
+      temp(S.Dst);
+      break;
+    case StmtKind::Print:
+      Out += "print ";
+      operand(S.A);
+      break;
+    }
+  }
+
+  void memRef(const MemRef &Ref) {
+    Out.append(Ref.Depth, '*');
+    Out += Ref.Base ? std::string_view(Ref.Base->Name) : "<null>";
+    if (Ref.hasIndex()) {
+      Out += '[';
+      operand(Ref.Index);
+      Out += ']';
+    }
+    if (Ref.Offset != 0) {
+      Out += Ref.Offset > 0 ? "{+" : "{";
+      number(Ref.Offset);
+      Out += '}';
+    }
+    if (Ref.ValueType == TypeKind::Float && Ref.isIndirect())
+      Out += ":flt";
+  }
+
+  void operand(const Operand &Op) {
+    switch (Op.K) {
+    case Operand::Kind::None:
+      Out += "<none>";
+      return;
+    case Operand::Kind::Temp:
+      temp(Op.TempId);
+      return;
+    case Operand::Kind::ConstInt:
+      number(Op.IntVal);
+      return;
+    case Operand::Kind::ConstFloat: {
+      char Buf[32];
+      auto R = std::to_chars(Buf, Buf + sizeof(Buf), Op.FloatVal,
+                             std::chars_format::general, 6);
+      Out.append(Buf, R.ptr);
+      Out += 'f';
+      return;
+    }
+    }
+  }
+
+private:
+  void symbolDecl(const Symbol &Sym) {
+    Out += Sym.Name;
+    Out += " : ";
+    Out += typeName(Sym.ElemType);
+    if (!Sym.isScalar()) {
+      Out += '[';
+      number(Sym.NumElems);
+      Out += ']';
+    }
+    if (Sym.Secret)
+      Out += " secret";
+  }
+
+  void terminator(const Terminator &T) {
+    switch (T.Kind) {
+    case TermKind::Br:
+      Out += "br ";
+      Out += T.Target->getName();
+      break;
+    case TermKind::CondBr:
+      Out += "condbr ";
+      operand(T.Cond);
+      Out += ", ";
+      Out += T.Target->getName();
+      Out += ", ";
+      Out += T.FalseTarget->getName();
+      break;
+    case TermKind::Ret:
+      Out += "ret";
+      if (!T.RetVal.isNone()) {
+        Out += ' ';
+        operand(T.RetVal);
+      }
+      break;
+    }
+  }
+
+  void temp(unsigned Id) {
+    Out += 't';
+    number(Id);
+  }
+
+  template <typename Int> void number(Int N) {
+    char Buf[24];
+    Out.append(Buf, std::to_chars(Buf, Buf + sizeof(Buf), N).ptr);
+  }
+
+  std::string &Out;
+};
+
+/// A capacity guess for a module's text: about 16 bytes a line.
+size_t estimateSize(const Module &M) {
+  size_t Lines = M.globals().size();
+  for (unsigned I = 0, E = M.numFunctions(); I != E; ++I) {
+    const Function *F = M.function(I);
+    Lines += 3 + F->locals().size();
+    for (unsigned B = 0, BE = F->numBlocks(); B != BE; ++B)
+      Lines += 2 + F->block(B)->size();
+  }
+  return Lines * 16;
+}
+
+} // namespace
+
+void srp::ir::printModule(const Module &M, OStream &OS) {
+  OS << moduleToString(M);
 }
 
 void srp::ir::printFunction(const Function &F, OStream &OS) {
-  OS << "func " << F.getName() << '(';
-  for (size_t I = 0; I < F.formals().size(); ++I) {
-    if (I)
-      OS << ", ";
-    printSymbolDecl(*F.formals()[I], OS);
-  }
-  OS << ')';
-  if (F.HasReturnValue)
-    OS << " -> " << typeName(F.ReturnType);
-  OS << " {\n";
-  for (const Symbol *Local : F.locals()) {
-    OS << "  local ";
-    printSymbolDecl(*Local, OS);
-    OS << '\n';
-  }
-  for (unsigned I = 0, E = F.numBlocks(); I != E; ++I) {
-    const BasicBlock *BB = F.block(I);
-    OS << BB->getName() << ":\n";
-    for (size_t J = 0, SE = BB->size(); J != SE; ++J) {
-      OS << "  ";
-      printStmt(*BB->stmt(J), OS);
-      OS << '\n';
-    }
-    OS << "  ";
-    printTerminator(BB->term(), OS);
-    OS << '\n';
-  }
-  OS << "}\n";
+  std::string Buffer;
+  Writer(Buffer).function(F);
+  OS << Buffer;
 }
 
-void srp::ir::printModule(const Module &M, OStream &OS) {
-  for (const Symbol *Global : M.globals()) {
-    OS << "global ";
-    printSymbolDecl(*Global, OS);
-    OS << '\n';
-  }
-  for (unsigned I = 0, E = M.numFunctions(); I != E; ++I) {
-    OS << '\n';
-    printFunction(*M.function(I), OS);
-  }
+void srp::ir::printStmt(const Stmt &S, OStream &OS) { OS << stmtToString(S); }
+
+std::string srp::ir::stmtToString(const Stmt &S) {
+  std::string Buffer;
+  Writer(Buffer).stmt(S);
+  return Buffer;
+}
+
+std::string srp::ir::memRefToString(const MemRef &Ref) {
+  std::string Buffer;
+  Writer(Buffer).memRef(Ref);
+  return Buffer;
+}
+
+std::string srp::ir::operandToString(const Operand &Op) {
+  std::string Buffer;
+  Writer(Buffer).operand(Op);
+  return Buffer;
 }
 
 std::string srp::ir::moduleToString(const Module &M) {
   std::string Buffer;
-  StringOStream OS(Buffer);
-  printModule(M, OS);
+  Buffer.reserve(estimateSize(M));
+  Writer(Buffer).module(M);
   return Buffer;
 }

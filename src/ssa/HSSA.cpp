@@ -434,7 +434,7 @@ private:
       LiveIn.BB = F.entry();
       newVersion(Obj, LiveIn);
     }
-    renameBlock(F.entry());
+    renameTree();
 
     // Lay the versions out flat, one row per object.
     H.VersionBegin.assign(NumObjs + 1, 0);
@@ -447,8 +447,39 @@ private:
       H.Origins[Fill[Obj]++] = Origin;
   }
 
+  /// Renames every block in dominator-tree preorder. The walk keeps its
+  /// own stack: the tree is as deep as the longest chain of blocks.
+  void renameTree() {
+    struct Frame {
+      BasicBlock *BB;
+      size_t NextKid;
+      size_t UndoMark; ///< Undo log size on entry.
+    };
+    std::vector<Frame> Walk;
+    Walk.push_back({F.entry(), 0, Undo.size()});
+    renameBlock(F.entry());
+    while (!Walk.empty()) {
+      Frame &Cur = Walk.back();
+      const auto &Kids = DT.children(Cur.BB);
+      if (Cur.NextKid < Kids.size()) {
+        BasicBlock *Kid = Kids[Cur.NextKid++];
+        Walk.push_back({Kid, 0, Undo.size()});
+        renameBlock(Kid);
+        continue;
+      }
+      // Leaving the subtree: restore the versions it pushed.
+      while (Undo.size() > Cur.UndoMark) {
+        Top[Undo.back().first] = Undo.back().second;
+        Undo.pop_back();
+      }
+      Walk.pop_back();
+    }
+  }
+
+  /// Defines and records the versions of one block and fills its
+  /// successors' φ arguments; the pushes stay on the undo log for
+  /// renameTree to unwind.
   void renameBlock(BasicBlock *BB) {
-    size_t UndoMark = Undo.size();
     unsigned NumObjs = Objs.numObjects();
 
     // φ definitions first.
@@ -524,14 +555,6 @@ private:
         for (unsigned I = SuccBegin; I != SuccEnd; ++I)
           H.PhiArgs[PhiArgBegin[I] + PI] = Top[H.Phis[I].Obj];
       }
-    }
-
-    for (BasicBlock *Kid : DT.children(BB))
-      renameBlock(Kid);
-
-    while (Undo.size() > UndoMark) {
-      Top[Undo.back().first] = Undo.back().second;
-      Undo.pop_back();
     }
   }
 

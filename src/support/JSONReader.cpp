@@ -194,6 +194,14 @@ private:
   bool parseString(std::string &Out) {
     ++Pos; // '"'
     for (;;) {
+      // Copy the run of plain characters up to the next quote, escape or
+      // control character in one append.
+      size_t Run = Pos;
+      while (Run < Text.size() && Text[Run] != '"' && Text[Run] != '\\' &&
+             static_cast<unsigned char>(Text[Run]) >= 0x20)
+        ++Run;
+      Out.append(Text.data() + Pos, Run - Pos);
+      Pos = Run;
       if (atEnd())
         return fail("unterminated string");
       char C = peek();
@@ -202,10 +210,6 @@ private:
       ++Pos;
       if (C == '"')
         return true;
-      if (C != '\\') {
-        Out.push_back(C);
-        continue;
-      }
       if (atEnd())
         return fail("unterminated escape");
       char E = peek();

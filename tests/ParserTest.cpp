@@ -2,6 +2,8 @@
 
 #include "ir/Parser.h"
 
+#include "fuzz/Fuzzer.h"
+#include "fuzz/RandomProgram.h"
 #include "interp/Interpreter.h"
 #include "ir/CFG.h"
 #include "ir/IRBuilder.h"
@@ -9,6 +11,12 @@
 #include "ir/Verifier.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <chrono>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 
 using namespace srp;
 using namespace srp::ir;
@@ -278,6 +286,222 @@ entry:
 )",
                            M, Error));
   EXPECT_NE(Error.find("after the block terminator"), std::string::npos);
+}
+
+/// Parses \p Text, expecting failure, and returns the diagnostic.
+std::string parseError(const std::string &Text) {
+  Module M;
+  std::string Error;
+  EXPECT_FALSE(parseModule(Text, M, Error)) << Text;
+  return Error;
+}
+
+std::string inMain(const std::string &Body) {
+  return "global a : int\nfunc main() {\nentry:\n" + Body + "  ret\n}\n";
+}
+
+TEST(ParserTest, RejectsMalformedNumbers) {
+  // The number token still runs over digits and ".e+-"; the whole run
+  // must be one well-formed number rather than its longest valid prefix.
+  EXPECT_EQ(parseError(inMain("  t1 = add 1-2, 3\n")),
+            "line 4: malformed number '1-2'");
+  EXPECT_EQ(parseError(inMain("  print 5e\n")),
+            "line 4: malformed number '5e'");
+  EXPECT_EQ(parseError(inMain("  print 1.2.3\n")),
+            "line 4: malformed number '1.2.3'");
+  EXPECT_EQ(parseError(inMain("  print --5\n")),
+            "line 4: malformed number '--5'");
+  EXPECT_EQ(parseError(inMain("  st a = 3\n  st a = +-5f\n")),
+            "line 5: malformed number '+-5'");
+  // Out of range instead of saturated or rounded to infinity or zero.
+  EXPECT_EQ(parseError(inMain("  print 99999999999999999999\n")),
+            "line 4: number out of range '99999999999999999999'");
+  EXPECT_EQ(parseError(inMain("  print 9223372036854775808\n")),
+            "line 4: number out of range '9223372036854775808'");
+  EXPECT_EQ(parseError(inMain("  print 1e999f\n")),
+            "line 4: number out of range '1e999'");
+  EXPECT_EQ(parseError(inMain("  print 1e-400f\n")),
+            "line 4: number out of range '1e-400'");
+  EXPECT_EQ(parseError(inMain("  print t99999999999999999999\n")),
+            "line 4: number out of range '99999999999999999999'");
+  EXPECT_EQ(parseError("global g : int[4294967296]\n"),
+            "line 1: malformed array extent");
+  EXPECT_EQ(parseError(inMain("  st *a{+99999999999999999999} = 1\n")),
+            "line 4: malformed offset");
+
+  // Edge values that are well formed still parse exactly.
+  Module M;
+  parseOrDie(inMain("  print -9223372036854775808\n  print +7\n"
+                    "  print .5\n  print 5.\n  print 1e+06f\n"
+                    "  print 4.94066e-324f\n")
+                 .c_str(),
+             M);
+  const BasicBlock *BB = M.function(0)->entry();
+  EXPECT_EQ(BB->stmt(0)->A, Operand::constInt(INT64_MIN));
+  EXPECT_EQ(BB->stmt(1)->A, Operand::constInt(7));
+  EXPECT_EQ(BB->stmt(2)->A, Operand::constFloat(0.5));
+  EXPECT_EQ(BB->stmt(3)->A, Operand::constFloat(5.0));
+  EXPECT_EQ(BB->stmt(4)->A, Operand::constFloat(1e6));
+  EXPECT_GT(BB->stmt(5)->A.FloatVal, 0.0);
+}
+
+TEST(ParserTest, TempIdsKeepTheirMapping) {
+  // Text ids are names: any int64 maps to a fresh temp in mention order,
+  // including negative and huge ones.
+  Module M;
+  parseOrDie(inMain("  t4000000000 = add 1, 2\n  t-7 = add t4000000000, 3\n"
+                    "  t1 = add t-7, t4000000000\n  print t1\n")
+                 .c_str(),
+             M);
+  const Function *F = M.function(0);
+  EXPECT_EQ(F->numTemps(), 3u);
+  EXPECT_EQ(stmtToString(*F->entry()->stmt(1)), "t1 = add t0, 3");
+  EXPECT_EQ(stmtToString(*F->entry()->stmt(2)), "t2 = add t1, t0");
+}
+
+TEST(ParserTest, AnyLineEndingInColonIsALabel) {
+  // The label rule looks at the line's last character, so a line shaped
+  // like a statement is still a label, and the temps it mentions are
+  // not created.
+  Module M;
+  parseOrDie("func main() {\nentry:\n  t0 = add 1, 2\nt7 = add t0, 1:\n"
+             "  print t0\n  ret\n}\n",
+             M);
+  const Function *F = M.function(0);
+  ASSERT_EQ(F->numBlocks(), 2u);
+  EXPECT_EQ(F->block(1)->getName(), "t7 = add t0, 1");
+  EXPECT_EQ(F->numTemps(), 1u);
+  EXPECT_EQ(F->block(1)->stmt(0)->Line, 5u);
+}
+
+TEST(ParserTest, UnknownLabelReportedAfterLaterSyntaxErrors) {
+  // Labels resolve once their function closes; a syntax error further
+  // down still wins, and of two unknown labels the first one does.
+  EXPECT_EQ(parseError("func f() {\nentry:\n  br nowhere\n}\n"
+                       "func main() {\nentry:\n  frob\n}\n"),
+            "line 7: unrecognized statement");
+  EXPECT_EQ(parseError("func f() {\nentry:\n  br nowhere\n}\n"
+                       "func main() {\nentry:\n  br elsewhere\n}\n"),
+            "line 3: unknown block label 'nowhere'");
+  EXPECT_EQ(parseError("func main() {\nentry:\n  condbr 1, entry,\n}\n"),
+            "line 3: unknown block label ''");
+}
+
+TEST(ParserTest, ParsingIsLinearInBlockCount) {
+  // A chain of 50,000 blocks (~1 MB): label lookup and line handling
+  // must not rescan earlier blocks.
+  std::string Text = "func main() {\n";
+  for (int I = 0; I < 50000; ++I) {
+    Text += 'b';
+    Text += std::to_string(I);
+    Text += ":\n  br b";
+    Text += std::to_string(I + 1);
+    Text += '\n';
+  }
+  Text += "b50000:\n  ret\n}\n";
+  Module M;
+  std::string Error;
+  auto Start = std::chrono::steady_clock::now();
+  ASSERT_TRUE(parseModule(Text, M, Error)) << Error;
+  double Seconds = std::chrono::duration<double>(
+                       std::chrono::steady_clock::now() - Start)
+                       .count();
+  EXPECT_LT(Seconds, 1.0);
+  EXPECT_EQ(M.function(0)->numBlocks(), 50001u);
+  EXPECT_EQ(M.function(0)->block(49999)->term().Target,
+            M.function(0)->block(50000));
+}
+
+/// Parsing and printing \p Text gives its canonical form; parsing and
+/// printing that again must reproduce it byte for byte.
+void expectPrintFixpoint(const std::string &Text, const std::string &What) {
+  Module M;
+  std::string Error;
+  ASSERT_TRUE(parseModule(Text, M, Error)) << What << ": " << Error;
+  std::string Canonical = moduleToString(M);
+  Module Reparsed;
+  ASSERT_TRUE(parseModule(Canonical, Reparsed, Error))
+      << What << ": " << Error;
+  EXPECT_EQ(moduleToString(Reparsed), Canonical) << What;
+}
+
+TEST(ParserTest, PrintParseFixpointOnCheckedInPrograms) {
+  namespace fs = std::filesystem;
+  std::vector<fs::path> Files;
+  for (const char *Dir : {"examples/sir", "fuzz-repros", "tools"})
+    for (const auto &Entry :
+         fs::directory_iterator(fs::path(SRP_SOURCE_DIR) / Dir))
+      if (Entry.path().extension() == ".sir")
+        Files.push_back(Entry.path());
+  std::sort(Files.begin(), Files.end());
+  ASSERT_GE(Files.size(), 10u);
+  for (const fs::path &Path : Files) {
+    std::ifstream In(Path, std::ios::binary);
+    std::stringstream Buffer;
+    Buffer << In.rdbuf();
+    expectPrintFixpoint(Buffer.str(), Path.string());
+  }
+}
+
+TEST(ParserTest, PrintParseFixpointOnRandomPrograms) {
+  for (uint64_t Seed = 1; Seed <= 500; ++Seed) {
+    Module M;
+    fuzz::buildRandomProgram(M, Seed, fuzz::GenOptions::fromSeed(Seed));
+    fuzz::labelRandomSecrets(M, Seed);
+    expectPrintFixpoint(moduleToString(M), "seed " + std::to_string(Seed));
+  }
+}
+
+TEST(ParserTest, PrintParseFixpointOnEveryConstruct) {
+  // Every SpecFlag, st.a with its ALAT temp, negative offsets, float
+  // constants that print with exponents, and every statement form.
+  const char *Text = R"(
+global a : int secret
+global f : float[4]
+global p : int
+func helper(n : int, x : float secret) -> float {
+entry:
+  t0 = ld x
+  ret t0
+}
+func main() -> int {
+  local l : int[2]
+entry:
+  t0 = ld<ld.a> a
+  t1 = ld<ld.sa> a
+  t2 = ld<ld.c.clr> a @addr(t9)
+  t3 = ld<ld.c.nc> a addr->t8
+  t4 = ld<chk.a.clr> *p{-16}:flt
+  t5 = ld<chk.a.nc> **p{+8}
+  st<st.a> a = t0 alat->t0
+  st *p{-8} = 1.5e-07f addr->t7
+  st f[t1] = -2.5e+20f
+  st f[3] = 1e+06f
+  t6 = addrof l[1]
+  t10 = alloc 4 @site
+  t11 = call helper(3, 0.25f)
+  call helper(t6, t11)
+  t12 = select t0, t11, 2f
+  t13 = fcmplt t11, -0f
+  invala t0
+  print -9223372036854775808
+  condbr t13, entry, exit
+exit:
+  ret t0
+}
+)";
+  expectPrintFixpoint(Text, "constructs");
+  Module M;
+  parseOrDie(Text, M);
+  std::string Printed = moduleToString(M);
+  for (const char *Expected :
+       {"ld<ld.a> a", "ld<ld.sa> a", "ld<ld.c.clr> a @addr(t", "ld<ld.c.nc> a",
+        "ld<chk.a.clr> *p{-16}:flt", "ld<chk.a.nc> **p{+8}",
+        "st<st.a> a = t0 alat->t0", "st *p{-8} = 1.5e-07f", "-2.5e+20f",
+        "1e+06f", "-0f", "print -9223372036854775808"})
+    EXPECT_NE(Printed.find(Expected), std::string::npos)
+        << Expected << "\n"
+        << Printed;
 }
 
 } // namespace

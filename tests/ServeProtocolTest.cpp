@@ -18,6 +18,9 @@
 
 #include "core/Pipeline.h"
 #include "core/Serve.h"
+#include "interp/Interpreter.h"
+#include "ir/CFG.h"
+#include "ir/Parser.h"
 #include "support/JSONReader.h"
 #include "support/StringUtils.h"
 #include "workloads/Workloads.h"
@@ -345,6 +348,53 @@ TEST(ServeProtocol, InlineProgramRuns) {
   std::string AlsoWarm = Core.handle(Spaced);
   EXPECT_NE(AlsoWarm.find("\"cached\":true"), std::string::npos)
       << AlsoWarm;
+}
+
+// A chain of 50,000 blocks (just under MaxProgramBytes) has a dominator
+// tree 50,000 levels deep. The pipeline must walk it without recursing
+// per level: on the default stack the request answers status 0, and its
+// simulated output equals the interpreter's.
+TEST(ServeProtocol, DeepBlockChainRuns) {
+  std::string Program = "global g : int\nfunc main() -> int {\nb0:\n"
+                        "  st g = 7\n  br b1\n";
+  for (int I = 1; I < 50000; ++I) {
+    Program += 'b';
+    Program += std::to_string(I);
+    Program += ":\n  br b";
+    Program += std::to_string(I + 1);
+    Program += '\n';
+  }
+  Program += "b50000:\n  t0 = ld g\n  t1 = add t0, 35\n  print t1\n"
+             "  ret t1\n}\n";
+  ASSERT_LT(Program.size(), ServeOptions().MaxProgramBytes);
+
+  ir::Module M;
+  std::string Error;
+  ASSERT_TRUE(ir::parseModule(Program, M, Error)) << Error;
+  interp::Interpreter Oracle(M);
+  auto Expected = Oracle.run();
+  ASSERT_TRUE(Expected.Ok) << Expected.Error;
+
+  std::string Escaped;
+  for (char C : Program) {
+    if (C == '\n')
+      Escaped += "\\n";
+    else
+      Escaped += C;
+  }
+  ServerCore Core(testOptions());
+  std::string Response =
+      Core.handle("{\"op\":\"run\",\"program\":\"" + Escaped + "\"}");
+  ASSERT_EQ(statusOf(Response), 0) << Response.substr(0, 300);
+
+  JSONValue Doc;
+  ASSERT_TRUE(parseJSON(Response, Doc, Error)) << Error;
+  const JSONValue *Output = Doc.find("result")->find("output");
+  ASSERT_TRUE(Output && Output->isArray());
+  std::vector<std::string> Served;
+  for (size_t I = 0; I < Output->size(); ++I)
+    Served.push_back(Output->at(I).asString());
+  EXPECT_EQ(Served, Expected.Output);
 }
 
 } // namespace
