@@ -15,26 +15,17 @@ const std::set<unsigned> AndersenAnalysis::Empty;
 
 namespace srp::alias {
 
-/// The constraint graph a Demand-mode analysis keeps after collection
-/// (exhaustive mode discards it — everything is already solved).
-struct AndersenAnalysis::DemandState {
-  std::vector<std::vector<unsigned>> RevCopy;    ///< dst -> copy sources
-  std::vector<std::vector<unsigned>> LoadsByDst; ///< dst -> deref'd ptrs
-  std::vector<std::pair<unsigned, unsigned>> StoreCons; ///< (ptr, src)
-  std::vector<char> Solved; ///< node closure is final
-};
-
 /// Constraint solver: worklist over subset edges. Node ids: symbols
 /// first, then per-function temps, then one return node per function.
 class AndersenSolver {
 public:
   AndersenSolver(const ir::Module &M, AndersenAnalysis &R) : M(M), R(R) {}
 
-  void run(bool SolveNow) {
+  void run() {
     unsigned N = M.numSymbols();
     for (unsigned FI = 0; FI < M.numFunctions(); ++FI) {
       const Function *F = M.function(FI);
-      R.TempBase[F] = N;
+      TempBase[F] = N;
       N += F->numTemps();
       RetNode[F] = N++;
     }
@@ -46,29 +37,12 @@ public:
 
     for (unsigned FI = 0; FI < M.numFunctions(); ++FI)
       collect(*M.function(FI));
-    if (SolveNow) {
-      solve();
-      return;
-    }
-    // Demand mode: seed the address-of facts and hand the graph over.
-    for (auto &[Node, Sym] : InitialPts)
-      R.Pts[Node].insert(Sym);
-    auto D = std::make_unique<AndersenAnalysis::DemandState>();
-    D->RevCopy.assign(NumNodes, {});
-    for (unsigned Src = 0; Src < NumNodes; ++Src)
-      for (unsigned Dst : CopyEdges[Src])
-        D->RevCopy[Dst].push_back(Src);
-    D->LoadsByDst.assign(NumNodes, {});
-    for (auto &[Ptr, Dst] : LoadCons)
-      D->LoadsByDst[Dst].push_back(Ptr);
-    D->StoreCons = StoreCons;
-    D->Solved.assign(NumNodes, 0);
-    R.DS = std::move(D);
+    solve();
   }
 
 private:
   unsigned tempNode(const Function *F, unsigned Temp) const {
-    return R.TempBase.at(F) + Temp;
+    return TempBase.at(F) + Temp;
   }
 
   unsigned operandNode(const Function *F, const Operand &Op) const {
@@ -214,134 +188,14 @@ private:
   std::vector<std::pair<unsigned, unsigned>> LoadCons;  ///< (ptr, dst)
   std::vector<std::pair<unsigned, unsigned>> StoreCons; ///< (ptr, src)
   std::vector<std::pair<unsigned, unsigned>> InitialPts;
+  std::map<const Function *, unsigned> TempBase;
   std::map<const Function *, unsigned> RetNode;
 };
 
 } // namespace srp::alias
 
-AndersenAnalysis::AndersenAnalysis(const ir::Module &M, SolveMode Mode,
-                                   bool CrossCheck)
-    : M(M), Mode(Mode), CrossCheck(CrossCheck && Mode == SolveMode::Demand) {
-  AndersenSolver Solver(M, *this);
-  Solver.run(/*SolveNow=*/Mode == SolveMode::Exhaustive);
-  if (this->CrossCheck) {
-    // Reference solution for the demand/exhaustive differential: solve
-    // the same module exhaustively and compare every answered node.
-    AndersenAnalysis Ref(M, SolveMode::Exhaustive);
-    RefPts = std::move(Ref.Pts);
-  }
-}
-
-AndersenAnalysis::~AndersenAnalysis() = default;
-
-unsigned AndersenAnalysis::nodeOfTemp(const ir::Function *F,
-                                      unsigned TempId) const {
-  return TempBase.at(F) + TempId;
-}
-
-const std::set<unsigned> &AndersenAnalysis::pts(unsigned Node) const {
-  if (Node >= Pts.size())
-    return Empty;
-  ensureSolved(Node);
-  return Pts[Node];
-}
-
-size_t AndersenAnalysis::numSolvedNodes() const {
-  if (Mode == SolveMode::Exhaustive)
-    return Pts.size();
-  size_t N = 0;
-  for (char S : DS->Solved)
-    N += S != 0;
-  return N;
-}
-
-void AndersenAnalysis::solveFor(const ir::Function *F,
-                                const std::vector<unsigned> &Temps) {
-  if (Mode == SolveMode::Exhaustive)
-    return;
-  for (unsigned T : Temps)
-    ensureSolved(nodeOfTemp(F, T));
-}
-
-void AndersenAnalysis::ensureSolved(unsigned Node) const {
-  if (Mode == SolveMode::Exhaustive)
-    return;
-  DemandState &D = *DS;
-  if (D.Solved[Node])
-    return;
-
-  // Restricted node set R of this query, in discovery order. Solved
-  // nodes never re-enter: their sets are final and are read as
-  // constants below.
-  std::vector<unsigned> R, Work;
-  std::vector<char> InR(Pts.size(), 0);
-  auto AddToR = [&](unsigned V) {
-    if (V >= Pts.size() || InR[V] || D.Solved[V])
-      return;
-    InR[V] = 1;
-    R.push_back(V);
-    Work.push_back(V);
-  };
-  // Backward closure: everything that can flow into a member of R —
-  // copy sources and, for load constraints, the dereferenced pointer
-  // (its pointees join during the fixpoint once discovered).
-  auto Close = [&] {
-    while (!Work.empty()) {
-      unsigned V = Work.back();
-      Work.pop_back();
-      for (unsigned U : D.RevCopy[V])
-        AddToR(U);
-      for (unsigned Ptr : D.LoadsByDst[V])
-        AddToR(Ptr);
-    }
-  };
-  AddToR(Node);
-  // A store *p = q can route values into any node of R depending on
-  // pts(p), which is only known mid-solve — include every store
-  // endpoint up front (they memoize as Solved, so only the first query
-  // pays for the store subgraph).
-  for (auto &[Ptr, Src] : D.StoreCons) {
-    AddToR(Ptr);
-    AddToR(Src);
-  }
-  Close();
-
-  // Fixpoint over the restricted system. Loads discovering a new
-  // pointee expand R with its backward closure and re-iterate, so the
-  // final sets on R equal the whole-program least solution there.
-  bool Changed = true;
-  while (Changed) {
-    Changed = false;
-    for (size_t RI = 0; RI < R.size(); ++RI) { // R may grow mid-loop
-      unsigned V = R[RI];
-      for (unsigned U : D.RevCopy[V])
-        for (unsigned P : Pts[U])
-          Changed |= Pts[V].insert(P).second;
-      for (unsigned Ptr : D.LoadsByDst[V])
-        for (unsigned P : Pts[Ptr]) {
-          if (P < InR.size() && !InR[P] && !D.Solved[P]) {
-            AddToR(P);
-            Close();
-            Changed = true;
-          }
-          for (unsigned Q : Pts[P])
-            Changed |= Pts[V].insert(Q).second;
-        }
-    }
-    for (auto &[Ptr, Src] : D.StoreCons)
-      for (unsigned P : Pts[Ptr])
-        if (P < InR.size() && InR[P])
-          for (unsigned Q : Pts[Src])
-            Changed |= Pts[P].insert(Q).second;
-  }
-  for (unsigned V : R)
-    D.Solved[V] = 1;
-
-  if (CrossCheck)
-    for (unsigned V : R)
-      if (Pts[V] != RefPts[V])
-        fatalError("andersen demand/exhaustive mismatch at node " +
-                   std::to_string(V));
+AndersenAnalysis::AndersenAnalysis(const ir::Module &M) : M(M) {
+  AndersenSolver(M, *this).run();
 }
 
 const std::set<unsigned> &

@@ -20,35 +20,16 @@
 
 #include "alias/AliasAnalysis.h"
 
-#include <map>
-#include <memory>
 #include <set>
 
 namespace srp::alias {
 
 /// Inclusion-based points-to analysis over the same node universe as the
 /// Steensgaard solver (symbol locations and per-function temp values).
-///
-/// Two solving modes. Exhaustive runs the whole-program fixpoint in the
-/// constructor — what the promote pass wants, since it queries nearly
-/// every node. Demand keeps the constraint graph and solves per query
-/// root (Heintze/Tardieu style): the backward copy/load closure of the
-/// root plus, conservatively, every store endpoint is solved to a local
-/// fixpoint, memoized, and marked final — so lint paths that ask about a
-/// handful of references (SpecVerifier, TaintFlow) never pay for the
-/// whole program. Both modes compute the same least solution, so any
-/// query answers byte-identically (asserted when CrossCheck is set,
-/// which additionally runs the exhaustive solve as a reference — tests
-/// and the fuzz differential use it). A Demand instance memoizes under
-/// const queries and must not be shared across threads.
+/// The constructor runs the whole-program fixpoint; queries are lookups.
 class AndersenAnalysis final : public AliasAnalysis {
 public:
-  enum class SolveMode : uint8_t { Exhaustive, Demand };
-
-  explicit AndersenAnalysis(const ir::Module &M,
-                            SolveMode Mode = SolveMode::Exhaustive,
-                            bool CrossCheck = false);
-  ~AndersenAnalysis();
+  explicit AndersenAnalysis(const ir::Module &M);
 
   bool mayAlias(const ir::MemRef &A, const ir::Function *FA,
                 const ir::MemRef &B, const ir::Function *FB) const override;
@@ -65,44 +46,18 @@ public:
   const std::set<unsigned> &pointsToSetOf(const ir::MemRef &Ref,
                                           const ir::Function *F) const;
 
-  /// Demand mode: solves the closures of \p Temps (temp ids of \p F) now
-  /// so later queries rooted at them are pure lookups. Memoized; no-op
-  /// in exhaustive mode (everything is already solved).
-  void solveFor(const ir::Function *F, const std::vector<unsigned> &Temps);
-
-  SolveMode mode() const { return Mode; }
-
-  /// How many constraint nodes exist / have final (solved) closures —
-  /// demand-mode observability for tests and stats.
-  size_t numNodes() const { return Pts.size(); }
-  size_t numSolvedNodes() const;
-
 private:
   friend class AndersenSolver;
 
-  unsigned nodeOfSymbol(unsigned SymbolId) const { return SymbolId; }
-  unsigned nodeOfTemp(const ir::Function *F, unsigned TempId) const;
-
   /// Points-to set of the *contents* of node N (what a value loaded from
-  /// N may point to). Demand mode solves N's closure first.
-  const std::set<unsigned> &pts(unsigned Node) const;
-
-  /// Demand machinery: solves node's closure to its final value (see
-  /// class comment). Const because queries memoize.
-  void ensureSolved(unsigned Node) const;
-
-  /// Constraint graph retained by demand mode after collection.
-  struct DemandState;
+  /// N may point to).
+  const std::set<unsigned> &pts(unsigned Node) const {
+    return Node < Pts.size() ? Pts[Node] : Empty;
+  }
 
   const ir::Module &M;
-  SolveMode Mode;
-  bool CrossCheck;
-  /// Per node: pointee symbol ids. Mutable: demand queries fill it in.
-  mutable std::vector<std::set<unsigned>> Pts;
-  mutable std::unique_ptr<DemandState> DS;
-  /// CrossCheck only: the exhaustive solution to compare against.
-  std::vector<std::set<unsigned>> RefPts;
-  std::map<const ir::Function *, unsigned> TempBase;
+  /// Per node: pointee symbol ids.
+  std::vector<std::set<unsigned>> Pts;
   static const std::set<unsigned> Empty;
 };
 

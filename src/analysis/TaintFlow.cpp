@@ -452,10 +452,7 @@ TaintFlow::TaintFlow(ir::Module &M, const TaintFlowConfig &Config) {
   if (Config.AA) {
     AA = Config.AA;
   } else {
-    // Lint-path instance: taint webs query only the references secret
-    // values reach, so demand mode solves a fraction of the program.
-    OwnedAA = std::make_unique<alias::AndersenAnalysis>(
-        M, alias::AndersenAnalysis::SolveMode::Demand);
+    OwnedAA = std::make_unique<alias::AndersenAnalysis>(M);
     AA = OwnedAA.get();
   }
   SymShadow.assign(M.numSymbols(), Shadow());

@@ -212,11 +212,4 @@ void Alat::invalidateRegister(unsigned Reg) {
   }
 }
 
-void Alat::invalidateAll() {
-  for (Entry &E : Table)
-    E.Valid = false;
-  NumValid = 0;
-  TagBloom = 0;
-}
-
 unsigned Alat::numValidEntries() const { return NumValid; }

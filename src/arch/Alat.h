@@ -120,9 +120,6 @@ public:
   /// invala.e: drops \p Reg's entry.
   void invalidateRegister(unsigned Reg);
 
-  /// Drops everything (context switch / invala).
-  void invalidateAll();
-
   const AlatStats &stats() const { return Stats; }
   unsigned numValidEntries() const;
 

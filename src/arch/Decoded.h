@@ -14,8 +14,8 @@
 /// window bounds of call sites — is paid once per module instead of once
 /// per simulated instruction. The stream is immutable after construction
 /// and carries no pointers back into the MModule, so one DecodedModule is
-/// shared read-only across repeat simulations: fig-bench repeat loops,
-/// `valid::DiffOracle` fault-plan re-runs, and warm `srp-serve` requests.
+/// shared read-only across repeat simulations of the same binary:
+/// `valid::DiffOracle`'s fault-plan re-runs and `bench/micro_sim`.
 ///
 /// Layout (module-level struct-of-arrays):
 ///  * one flat `DecodedOp[]` covering every function — branch/call/resume
@@ -82,8 +82,8 @@ namespace srp::arch {
 inline constexpr uint16_t DummyReg =
     static_cast<uint16_t>(codegen::FirstVirtualReg);
 
-/// Micro-op kinds. X-macro so the executor's jump table, the switch
-/// fallback, and the enum can never drift out of sync. Order is the
+/// Micro-op kinds. X-macro so the executor's jump table, the kind names
+/// and the enum can never drift out of sync. Order is the
 /// dispatch-table order; `FellOff` must stay last (the budget check
 /// exempts it, see the executor).
 #define SRP_DECODED_OP_KINDS(X)                                                \

@@ -1,13 +1,13 @@
-//===- DecodedSim.cpp - switch-threaded decoded-stream executor ---------------===//
+//===- DecodedSim.cpp - threaded decoded-stream executor ----------------------===//
 //
 // Simulate half of the decode/simulate contract (Decoded.h): a single
 // dispatch function over the pre-decoded micro-op stream. Everything the
 // legacy Machine kept in member variables — the clock, the issue slots,
 // the PendingUntil watermark, the stream cursor — lives in locals here so
 // the compiler can keep the hot state in registers across the whole run,
-// and dispatch is a computed goto per micro-op (switch-in-loop fallback
-// for non-GNU compilers) instead of a block refetch + bounds checks +
-// opcode switch per instruction.
+// and dispatch is a computed goto per micro-op (a GNU extension, which
+// every compiler the tree builds with provides) instead of a block
+// refetch + bounds checks + opcode switch per instruction.
 //
 // Timing-model arithmetic executes in exactly the legacy order: issue()
 // fast path on the watermark, srcDep scan in shape order, the lazy
@@ -33,13 +33,6 @@ using namespace srp;
 using namespace srp::arch;
 using namespace srp::codegen;
 
-#if defined(__GNUC__) && !defined(SRP_FORCE_SWITCH_DISPATCH)
-#define SRP_COMPUTED_GOTO 1
-#else
-#define SRP_COMPUTED_GOTO 0
-#endif
-
-#if defined(__GNUC__)
 #define SRP_LIKELY(X) __builtin_expect(!!(X), 1)
 #define SRP_UNLIKELY(X) __builtin_expect(!!(X), 0)
 // Forces the hot helper lambdas into their call sites. gprof on -O2
@@ -48,9 +41,6 @@ using namespace srp::codegen;
 // (Cycle, SlotsUsed, PendingUntil, InstrCount) live in registers across
 // handlers instead of round-tripping through the capture frame.
 #define SRP_AI __attribute__((always_inline))
-#else
-#define SRP_AI
-#endif
 
 namespace {
 
@@ -270,11 +260,10 @@ SimResult srp::arch::simulate(const DecodedModule &DM,
   Regs[RegFP] = interp::layout::StackBase;
   rseCall(Funcs[CurFunc].StackedRegsUsed);
 
-// The dispatch skeleton. Handler bodies are written once; SRP_HANDLER /
-// SRP_NEXT expand to computed-goto labels (GNU) or switch cases.
-#if SRP_COMPUTED_GOTO
+// The dispatch skeleton: SRP_HANDLER labels a handler and SRP_NEXT
+// jumps to the handler of the micro-op at PC through the jump table.
 #define SRP_HANDLER(K) H_##K:
-#define SRP_DISPATCH()                                                         \
+#define SRP_NEXT()                                                             \
   do {                                                                         \
     if (SRP_UNLIKELY(InstrCount >= MaxInstrs) &&                               \
         PC->Kind != static_cast<uint8_t>(DOpKind::FellOff)) {              \
@@ -283,24 +272,12 @@ SimResult srp::arch::simulate(const DecodedModule &DM,
     }                                                                          \
     goto *JumpTable[PC->Kind];                                             \
   } while (0)
-#define SRP_NEXT() SRP_DISPATCH()
   static const void *const JumpTable[] = {
 #define SRP_DECODED_KIND_LABEL(K) &&H_##K,
       SRP_DECODED_OP_KINDS(SRP_DECODED_KIND_LABEL)
 #undef SRP_DECODED_KIND_LABEL
   };
-  SRP_DISPATCH();
-#else
-#define SRP_HANDLER(K) case DOpKind::K:
-#define SRP_NEXT() continue
-  for (;;) {
-    if (SRP_UNLIKELY(InstrCount >= MaxInstrs) &&
-        PC->Kind != static_cast<uint8_t>(DOpKind::FellOff)) {
-      trap("instruction budget exhausted");
-      goto Done;
-    }
-    switch (static_cast<DOpKind>(PC->Kind)) {
-#endif
+  SRP_NEXT();
 
 // Default-shape ALU family. A_ = Rs1, B_ = Rs2 or the immediate; EXPR
 // computes the value written back at 1 + (LAT-1) cycles of latency,
@@ -355,7 +332,7 @@ SimResult srp::arch::simulate(const DecodedModule &DM,
 // The legacy loop checks the instruction budget before *every*
 // instruction; a fused handler replays that check between its two ops
 // (the second op of a fused pair is never FellOff, so the sentinel
-// exemption in SRP_DISPATCH cannot apply).
+// exemption in SRP_NEXT cannot apply).
 #define SRP_MIDFUSE()                                                          \
   if (SRP_UNLIKELY(InstrCount >= MaxInstrs)) {                                 \
     trap("instruction budget exhausted");                                      \
@@ -762,11 +739,6 @@ SimResult srp::arch::simulate(const DecodedModule &DM,
     goto Done;
   }
 
-#if !SRP_COMPUTED_GOTO
-    }
-  }
-#endif
-
 #undef SRP_MIDFUSE
 #undef SRP_ST_CORE
 #undef SRP_LD_CORE
@@ -777,9 +749,6 @@ SimResult srp::arch::simulate(const DecodedModule &DM,
 #undef SRP_ALU_CORE
 #undef SRP_HANDLER
 #undef SRP_NEXT
-#if SRP_COMPUTED_GOTO
-#undef SRP_DISPATCH
-#endif
 
 Done:
   Result.Output = std::move(Output);

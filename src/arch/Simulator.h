@@ -86,7 +86,7 @@ struct SimResult {
 
 /// Runs \p M (register-allocated) from its main function. Decodes the
 /// module into an arch::DecodedModule micro-op stream (Decoded.h) and
-/// runs the switch-threaded executor; callers that re-simulate the same
+/// runs the threaded executor; callers that re-simulate the same
 /// module should decode once and call the DecodedModule overload.
 SimResult simulate(const codegen::MModule &M, const SimConfig &Config);
 

@@ -14,8 +14,8 @@
 ///
 /// PipelineState carries everything the passes hand to each other:
 /// the modules, the profiles, the alias analysis, the machine module,
-/// and — via ssa::AnalysisCache — the per-function analyses (dominators,
-/// loop info) that non-mutating passes share. The cache, like the whole
+/// and — via ssa::AnalysisCache — the dominator trees and loop nests the
+/// promoter draws on. The cache, like the whole
 /// state, is per-pipeline: the parallel experiment driver
 /// (core::runExperiments) runs one PipelineState per worker with no
 /// shared mutable data, which is what makes its results independent of
@@ -74,13 +74,6 @@ struct PipelineState {
   bool HasProfile = false; ///< profile pass ran (it may be disabled)
   std::unique_ptr<alias::AliasAnalysis> AA;
   ssa::AnalysisCache Analyses;
-  /// Optional externally owned analysis cache (srp-serve's per-shard
-  /// caches). When set, passes use it instead of Analyses, so cache
-  /// effectiveness counters aggregate across the requests of a shard.
-  /// The owner is responsible for exclusive use during the run and for
-  /// clear()-ing entries before the module dies (pointer-keyed entries
-  /// must never outlive their functions).
-  ssa::AnalysisCache *SharedAnalyses = nullptr;
   std::unique_ptr<codegen::MModule> MM;
   /// Decode-once micro-op stream for MM (Decoded.h). Built by the
   /// simulate pass and kept on the state so later consumers of the same
@@ -97,10 +90,8 @@ struct PipelineState {
   /// The module the compiling passes operate on.
   ir::Module &module() { return External ? *External : RefModule; }
 
-  /// The analysis cache passes should consult (shared when injected).
-  ssa::AnalysisCache &analyses() {
-    return SharedAnalyses ? *SharedAnalyses : Analyses;
-  }
+  /// The analysis cache passes should consult.
+  ssa::AnalysisCache &analyses() { return Analyses; }
 };
 
 /// One named step of the pipeline.
@@ -114,12 +105,6 @@ public:
 
   /// One-line description for the `srp-run passes` listing.
   virtual std::string_view description() const = 0;
-
-  /// Whether the pass transforms IR. Mutating passes own precise cache
-  /// maintenance: they must call S.Analyses.invalidate(F) for every
-  /// function they change (the manager no longer flushes the cache on
-  /// this boundary — sibling functions stay cached).
-  virtual bool mutatesIR() const { return false; }
 
   /// Runs the pass. On failure returns false with
   /// \p S.Result.Error set to a diagnostic.

@@ -40,9 +40,6 @@ bool PassManager::run(PipelineState &S, const PassCallback &AfterPass) {
     S.Result.Timings.push_back({std::string(P->name()), Micros});
     StatsRegistry::current().add("pass." + std::string(P->name()) + ".us",
                              Micros);
-    // No pipeline-wide cache flush here: mutating passes invalidate
-    // exactly the functions they changed (see AnalysisCache.h), so
-    // sibling functions stay cached across the promote boundary.
     if (!Ok) {
       if (S.Result.Error.empty())
         S.Result.Error = "pass '" + std::string(P->name()) + "' failed";

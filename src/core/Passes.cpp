@@ -197,7 +197,6 @@ public:
   std::string_view description() const override {
     return "speculative register promotion (SSAPRE over HSSA)";
   }
-  bool mutatesIR() const override { return true; }
   bool run(PipelineState &S) override {
     ir::Module &M = S.module();
     if (S.Config.UseAndersen)

@@ -59,13 +59,11 @@ std::vector<std::string> srp::core::oracleOutput(const Workload &W,
 
 PipelineResult srp::core::runPipeline(const Workload &W,
                                       const PipelineConfig &Config,
-                                      ProfileCache *PC,
-                                      ssa::AnalysisCache *AC) {
+                                      ProfileCache *PC) {
   PipelineState S;
   S.W = &W;
   S.Config = Config;
   S.ProfCache = PC;
-  S.SharedAnalyses = AC;
   PassManager PM;
   addStandardPasses(PM);
   PM.run(S);

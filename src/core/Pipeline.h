@@ -32,10 +32,6 @@ namespace srp::ir {
 class Module;
 } // namespace srp::ir
 
-namespace srp::ssa {
-class AnalysisCache;
-} // namespace srp::ssa
-
 namespace srp::core {
 
 /// A workload is a builder producing a fresh module for a given input
@@ -110,13 +106,9 @@ class ProfileCache; // ProfileCache.h
 /// Compiles \p W with \p Config and simulates the ref input. The module
 /// is rebuilt from scratch for both the train and ref phases. \p PC, if
 /// given, memoizes the train-run profile across pipelines of the same
-/// workload (ProfileCache.h). \p AC, if given, is used in place of the
-/// state's own analysis cache (the caller owns exclusive use for the
-/// duration of the call and must clear() it before reusing — entries
-/// are pointer-keyed to this run's functions).
+/// workload (ProfileCache.h).
 PipelineResult runPipeline(const Workload &W, const PipelineConfig &Config,
-                           ProfileCache *PC = nullptr,
-                           ssa::AnalysisCache *AC = nullptr);
+                           ProfileCache *PC = nullptr);
 
 /// Runs the interpreter directly on the ref build (the oracle).
 std::vector<std::string> oracleOutput(const Workload &W, uint64_t Fuel =

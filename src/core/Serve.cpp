@@ -575,45 +575,8 @@ std::string ServerCore::runOp(const RunRequest &Req, bool WantStats) {
                       WantStats ? &Stats : nullptr, Body);
 }
 
-ServerCore::PipelineShard &
-ServerCore::shardFor(const std::string &ShardKey) {
-  return Shards[std::hash<std::string>{}(ShardKey) % NumShards];
-}
-
 PipelineResult ServerCore::executeRun(const RunRequest &Req,
                                       std::string &Error, int &ErrorStatus) {
-  // Borrow the shard's analysis cache when it is free (see Serve.h).
-  // Named-workload requests shard by workload name so every config of a
-  // workload shares one shard's ProfileCache (the train profile is
-  // config-independent); inline programs shard by canonical key.
-  PipelineShard &Shard =
-      shardFor(Req.IsProgram ? Req.CanonicalKey : Req.WorkloadName);
-  std::unique_lock<std::mutex> ShardLock(Shard.M, std::try_to_lock);
-  ssa::AnalysisCache *AC =
-      ShardLock.owns_lock() ? &Shard.Analyses : nullptr;
-  ssa::AnalysisCache::CacheStats Before;
-  if (AC)
-    Before = AC->stats();
-  else
-    StatsRegistry::current().add("serve.analysis.cache.shard_busy", 1);
-  struct BorrowGuard {
-    ssa::AnalysisCache *AC;
-    ssa::AnalysisCache::CacheStats Before;
-    ~BorrowGuard() {
-      if (!AC)
-        return;
-      const ssa::AnalysisCache::CacheStats &After = AC->stats();
-      StatsRegistry &SR = StatsRegistry::current();
-      SR.add("serve.analysis.cache.hits", After.Hits - Before.Hits);
-      SR.add("serve.analysis.cache.misses", After.Misses - Before.Misses);
-      SR.add("serve.analysis.cache.invalidations",
-             After.Invalidations - Before.Invalidations);
-      // Entries are keyed by this request's function pointers; drop
-      // them before the module dies (counters survive the clear).
-      AC->clear();
-    }
-  } Borrow{AC, Before};
-
   if (!Req.IsProgram) {
     const Workload *Found = nullptr;
     for (const Workload &W : Opts.Workloads)
@@ -627,7 +590,7 @@ PipelineResult ServerCore::executeRun(const RunRequest &Req,
     Workload W = *Found;
     W.TrainScale = Req.TrainScale;
     W.RefScale = Req.RefScale;
-    PipelineResult R = runPipeline(W, Req.Config, &Shard.Profiles, AC);
+    PipelineResult R = runPipeline(W, Req.Config, &Profiles);
     if (!R.Ok) {
       ErrorStatus = 1;
       Error = R.Error.empty() ? "pipeline failed" : R.Error;
@@ -648,7 +611,6 @@ PipelineResult ServerCore::executeRun(const RunRequest &Req,
   PipelineState S;
   S.External = &M;
   S.Config = Req.Config;
-  S.SharedAnalyses = AC;
   PassManager PM;
   addStandardPasses(PM);
   if (!PM.run(S)) {

@@ -38,9 +38,6 @@
 #include "core/ProfileCache.h"
 #include "core/ResultCache.h"
 
-#include "ssa/AnalysisCache.h"
-
-#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstdio>
@@ -140,31 +137,11 @@ private:
   ResultCache Cache;
   std::atomic<bool> Shutdown{false};
 
-  /// Cross-request compilation caches, sharded (named-workload requests
-  /// by workload name, inline programs by canonical key) so concurrent
-  /// cache-miss requests contend on different shard mutexes. Each shard
-  /// carries:
-  ///  * a ProfileCache — train-run profile snapshots are a pure
-  ///    function of (workload, scale, fuel), so repeat named-workload
-  ///    requests skip the train interpretation entirely even when the
-  ///    result cache misses (different promotion config, same
-  ///    workload);
-  ///  * an ssa::AnalysisCache — not thread-safe, so a request borrows
-  ///    it under the shard mutex (try-lock; a busy shard falls back to
-  ///    the request-private cache rather than serializing). Entries are
-  ///    pointer-keyed to the request's functions and cleared at the end
-  ///    of the borrow; what persists across requests is the allocation
-  ///    and the aggregated effectiveness counters, published as
-  ///    serve.analysis.cache.{hits,misses,invalidations} (plus
-  ///    serve.analysis.cache.shard_busy for fallbacks).
-  struct PipelineShard {
-    std::mutex M; ///< guards Analyses; Profiles locks internally
-    ProfileCache Profiles;
-    ssa::AnalysisCache Analyses;
-  };
-  static constexpr unsigned NumShards = 8;
-  std::array<PipelineShard, NumShards> Shards;
-  PipelineShard &shardFor(const std::string &CanonicalKey);
+  /// Train-run profile snapshots across requests: they are a pure
+  /// function of (workload, scale, fuel), so repeat named-workload
+  /// requests skip the train interpretation even when the result cache
+  /// misses (different promotion config, same workload). Locks itself.
+  ProfileCache Profiles;
 
   /// Counting semaphore bounding in-flight pipeline runs to
   /// Opts.Threads (cache hits bypass it, so a warm request never waits

@@ -476,9 +476,11 @@ private:
 
   bool parseLocal() {
     std::string_view Name = ident();
+    if (Name.empty())
+      return fail("local without a name");
     TypeKind Type;
     unsigned NumElems;
-    if (Name.empty() || !parseTypeDecl(Type, NumElems))
+    if (!parseTypeDecl(Type, NumElems))
       return false;
     Symbol *Local = M.createLocal(F, std::string(Name), Type, NumElems);
     Local->Secret = parseSecretSuffix();

@@ -3,8 +3,9 @@
 // The per-function driver of the staged SSAPRE pass. The stages
 // themselves live in their own translation units (see PromotionContext.h
 // for the map); this file only sequences them, accumulates per-stage wall
-// time, and wires the optional AnalysisCache so dominators and loops are
-// computed once per function per pipeline instead of per promotion run.
+// time, and draws dominators and loops from an AnalysisCache (the
+// caller's, else a local one) so an unchanged function reuses them
+// across its promotion runs.
 //
 //===----------------------------------------------------------------------===//
 
@@ -104,6 +105,8 @@ PromotionStats srp::pre::promoteFunction(ir::Function &F,
   // here is still valid; recomputing the edge lists is idempotent.
   F.recomputeCFG();
   StageTimings Times;
+  ssa::AnalysisCache Local;
+  ssa::AnalysisCache &AC = Cache ? *Cache : Local;
 
   auto PlanEmpty = [](const MutationPlan &P) {
     return P.EdgeInserts.empty() && P.DefLoads.empty() &&
@@ -113,26 +116,14 @@ PromotionStats srp::pre::promoteFunction(ir::Function &F,
            P.AddrMats.empty();
   };
 
-  // One promotion run with the given config, drawing dominators and loops
-  // from the cache when the caller provides one.
+  // One promotion run with the given config.
   auto RunOnce = [&](const PromotionConfig &Cfg) {
-    std::optional<DominatorTree> LocalDT;
-    std::optional<LoopInfo> LocalLI;
-    const DominatorTree *DT;
-    const LoopInfo *LI;
-    if (Cache) {
-      DT = &Cache->dominators(F);
-      LI = &Cache->loops(F);
-    } else {
-      LocalDT.emplace(F);
-      LocalLI.emplace(*LocalDT);
-      DT = &*LocalDT;
-      LI = &*LocalLI;
-    }
+    const DominatorTree &DT = AC.dominators(F);
+    const LoopInfo &LI = AC.loops(F);
     std::optional<PromotionContext> Ctx;
     {
       ScopedTimer ST(Times.HSSA);
-      Ctx.emplace(F, AA, Profile, Edges, Cfg, *DT, *LI);
+      Ctx.emplace(F, AA, Profile, Edges, Cfg, DT, LI);
     }
     PromotionStats S = runPromotion(*Ctx, &Times);
     // The run mutated F iff the plan applied anything or cleanup erased
@@ -143,8 +134,7 @@ PromotionStats srp::pre::promoteFunction(ir::Function &F,
     CopyPropStats CP = propagateCopies(F);
     Mutated |= CP.UsesRewritten != 0 || CP.AssignsRemoved != 0;
     if (Mutated) {
-      if (Cache)
-        Cache->invalidate(F);
+      AC.invalidate(F);
       F.recomputeCFG();
     }
     return S;

@@ -49,8 +49,8 @@ namespace srp::pre {
 /// (may be null: no data speculation) and \p Edges the block/edge counts
 /// for profitability (may be null: structural heuristics only).
 /// \p Cache, when given, supplies dominators and loop info and is
-/// invalidated for \p F after mutation; without one the analyses are
-/// computed locally.
+/// invalidated for \p F after mutation; without one a local cache does
+/// the same for this call.
 PromotionStats promoteFunction(ir::Function &F,
                                const alias::AliasAnalysis &AA,
                                const interp::AliasProfile *Profile,

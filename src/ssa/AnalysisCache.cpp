@@ -31,32 +31,8 @@ LoopInfo &AnalysisCache::loops(ir::Function &F) {
 }
 
 void AnalysisCache::invalidate(ir::Function &F) {
-  ++Gens[&F];
-  auto It = Entries.find(&F);
-  if (It == Entries.end())
-    return;
-  ++Stats.Invalidations;
-  ++InvalByName[F.getName()];
-  Entries.erase(It);
-}
-
-void AnalysisCache::invalidateAll() {
-  for (auto &[F, E] : Entries) {
-    ++Gens[F];
+  if (Entries.erase(&F))
     ++Stats.Invalidations;
-    ++InvalByName[F->getName()];
-  }
-  Entries.clear();
-}
-
-void AnalysisCache::clear() {
-  Entries.clear();
-  Gens.clear();
-}
-
-uint64_t AnalysisCache::generation(const ir::Function &F) const {
-  auto It = Gens.find(&F);
-  return It == Gens.end() ? 0 : It->second;
 }
 
 void AnalysisCache::publishStats() {
@@ -66,10 +42,4 @@ void AnalysisCache::publishStats() {
   SR.add("analysis.cache.invalidations",
          Stats.Invalidations - Published.Invalidations);
   Published = Stats;
-  for (const auto &[Name, N] : InvalByName) {
-    uint64_t &Done = InvalPublished[Name];
-    if (N > Done)
-      SR.add("analysis.cache.invalidations." + Name, N - Done);
-    Done = N;
-  }
 }

@@ -5,11 +5,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A per-pipeline cache of the function analyses every pass used to
-/// recompute ad hoc: the dominator tree and the loop nest. The pass
-/// manager owns one cache per pipeline; analyses are computed on first
-/// request and reused until a mutating pass invalidates the function
-/// (passes that change the CFG or statement list must call invalidate).
+/// A per-pipeline cache of the dominator tree and loop nest of each
+/// function, the analyses the promoter builds HSSA on. Analyses are
+/// computed on first request and reused until the promoter invalidates
+/// the function after a mutating run (DESIGN.md §3a).
 /// The cache is deliberately per-pipeline, never global: the parallel
 /// experiment driver runs one pipeline per worker thread, and a shared
 /// cache would either race or serialize them.
@@ -29,38 +28,18 @@ namespace srp::ssa {
 
 /// Caches DominatorTree and LoopInfo per function. Not thread-safe by
 /// design (see file comment); each pipeline owns its own instance.
-///
-/// Invalidation protocol (DESIGN.md §7): passes that mutate a function
-/// call invalidate(F) for exactly the functions they changed — there is
-/// no whole-pipeline flush on the mutating-pass boundary any more, so a
-/// promoter that rewrites one function leaves every sibling's dominator
-/// tree and loop nest cached for the verifier and lint passes behind it.
-/// Each function carries a monotonic generation number, bumped by every
-/// invalidation; analyses handed out are valid for exactly the
-/// generation they were computed in, which gives consumers a cheap
-/// staleness token instead of re-requesting defensively.
 class AnalysisCache {
 public:
   /// Dominator tree of \p F, computed on first request. The reference is
-  /// stable until invalidate(F) or clear().
+  /// stable until invalidate(F).
   DominatorTree &dominators(ir::Function &F);
 
   /// Loop nest of \p F (computes the dominator tree if needed).
   LoopInfo &loops(ir::Function &F);
 
-  /// Drops cached analyses of \p F and bumps its generation. Mutating
-  /// passes must call this for every function they transform.
+  /// Drops cached analyses of \p F. Whoever mutates a function must call
+  /// this before the next request for it.
   void invalidate(ir::Function &F);
-
-  /// Invalidates every cached function (counts each one). For callers
-  /// that rewrite the whole module and cannot name the changed set.
-  void invalidateAll();
-
-  /// Drops everything silently (teardown/reuse; no invalidation counts).
-  void clear();
-
-  /// Generation of \p F: 0 until first invalidated, +1 per invalidation.
-  uint64_t generation(const ir::Function &F) const;
 
   /// Cache effectiveness counters (observability, tested).
   struct CacheStats {
@@ -70,17 +49,10 @@ public:
   };
   const CacheStats &stats() const { return Stats; }
 
-  /// Invalidation counts per function name (aggregated; names outlive
-  /// the ir::Function objects, so this is safe to read after teardown).
-  const std::map<std::string, uint64_t> &invalidationsByFunction() const {
-    return InvalByName;
-  }
-
   /// Adds the counters accumulated since the last call into the
-  /// process-wide StatsRegistry: `analysis.cache.{hits,misses,
-  /// invalidations}` plus `analysis.cache.invalidations.<function>`.
-  /// Called by the pass manager at end of pipeline; delta-based, so
-  /// repeated calls never double-count.
+  /// process-wide StatsRegistry as `analysis.cache.{hits,misses,
+  /// invalidations}`. Called by the pass manager at end of pipeline;
+  /// delta-based, so repeated calls never double-count.
   void publishStats();
 
 private:
@@ -89,11 +61,8 @@ private:
     std::unique_ptr<LoopInfo> LI;
   };
   std::map<const ir::Function *, Entry> Entries;
-  std::map<const ir::Function *, uint64_t> Gens;
-  std::map<std::string, uint64_t> InvalByName;
   CacheStats Stats;
-  CacheStats Published;                       ///< publishStats() watermark
-  std::map<std::string, uint64_t> InvalPublished;
+  CacheStats Published; ///< publishStats() watermark
 };
 
 } // namespace srp::ssa

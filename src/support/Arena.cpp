@@ -69,7 +69,6 @@ void Arena::reset() {
   for (auto It = Dtors.rbegin(), E = Dtors.rend(); It != E; ++It)
     It->Fn(It->Obj);
   Dtors.clear();
-  Interned.clear();
   publishStats(/*CountReset=*/true);
   BytesAllocated = 0;
   BytesPublished = 0;
@@ -102,16 +101,4 @@ void Arena::publishStats(bool CountReset) {
   }
   if (CountReset)
     SR.add("alloc.arena.resets", 1);
-}
-
-std::string_view Arena::intern(std::string_view S) {
-  auto It = Interned.find(S);
-  if (It != Interned.end())
-    return It->first;
-  char *Mem = static_cast<char *>(allocate(S.size() ? S.size() : 1, 1));
-  if (!S.empty())
-    std::memcpy(Mem, S.data(), S.size());
-  std::string_view Stored(Mem, S.size());
-  Interned.emplace(Stored, true);
-  return Stored;
 }

@@ -18,12 +18,6 @@
 /// trip ASan just like a heap use-after-free would — arenas must not
 /// regress sanitizer coverage (tested by ArenaTest.AsanPoisoning).
 ///
-/// ArenaVector<T> is a trivially-copyable-element vector whose storage
-/// bumps from an arena: growth abandons the old buffer (it is reclaimed
-/// wholesale at reset), so no free-list or size bookkeeping exists.
-/// Arena::intern deduplicates strings into arena-backed storage and hands
-/// out string_views that live as long as the arena.
-///
 /// Counters: destruction and reset() publish slab bytes into the
 /// process-wide StatsRegistry (`alloc.arena.bytes`, `alloc.arena.slabs`,
 /// `alloc.arena.resets`) — coarse events only, never per allocation.
@@ -33,14 +27,10 @@
 #ifndef SRP_SUPPORT_ARENA_H
 #define SRP_SUPPORT_ARENA_H
 
-#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <map>
 #include <new>
-#include <string>
-#include <string_view>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -93,10 +83,6 @@ public:
     return Mem;
   }
 
-  /// Deduplicating string storage: equal inputs return the same
-  /// arena-backed view, valid until reset() or destruction.
-  std::string_view intern(std::string_view S);
-
   /// Runs queued destructors, forgets every allocation and recycles the
   /// slabs (re-poisoned under ASan). Pointers handed out before the
   /// reset are dead.
@@ -139,66 +125,6 @@ private:
   size_t BytesPublished = 0;
   size_t SlabsPublished = 0;
   std::vector<DtorEntry> Dtors;
-  /// Interned strings; keys are arena-backed views so the table owns no
-  /// character storage. std::map keeps iteration deterministic.
-  std::map<std::string_view, bool> Interned;
-};
-
-/// Vector of trivially copyable elements in arena storage. Growth bumps a
-/// doubled buffer and abandons the old one; reclaim happens wholesale at
-/// Arena::reset(). The arena must outlive the vector's use (not its
-/// destruction — there is nothing to destroy).
-template <typename T> class ArenaVector {
-  static_assert(std::is_trivially_copyable_v<T> &&
-                    std::is_trivially_destructible_v<T>,
-                "ArenaVector elements are reclaimed without destruction");
-
-public:
-  explicit ArenaVector(Arena &A) : A(&A) {}
-
-  void push_back(const T &V) {
-    if (Count == Cap)
-      grow();
-    Data[Count++] = V;
-  }
-  void pop_back() {
-    assert(Count && "pop_back on empty ArenaVector");
-    --Count;
-  }
-  void clear() { Count = 0; }
-
-  T &operator[](size_t I) {
-    assert(I < Count);
-    return Data[I];
-  }
-  const T &operator[](size_t I) const {
-    assert(I < Count);
-    return Data[I];
-  }
-  T &back() { return (*this)[Count - 1]; }
-
-  T *begin() { return Data; }
-  T *end() { return Data + Count; }
-  const T *begin() const { return Data; }
-  const T *end() const { return Data + Count; }
-
-  size_t size() const { return Count; }
-  bool empty() const { return Count == 0; }
-
-private:
-  void grow() {
-    size_t NewCap = Cap ? Cap * 2 : 8;
-    T *NewData = static_cast<T *>(A->allocate(NewCap * sizeof(T), alignof(T)));
-    if (Count)
-      std::memcpy(NewData, Data, Count * sizeof(T));
-    Data = NewData;
-    Cap = NewCap;
-  }
-
-  Arena *A;
-  T *Data = nullptr;
-  size_t Count = 0;
-  size_t Cap = 0;
 };
 
 } // namespace srp

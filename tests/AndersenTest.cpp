@@ -179,22 +179,18 @@ TEST(AndersenTest, SubsetOfSteensgaard) {
 }
 
 //===----------------------------------------------------------------------===//
-// Demand-vs-exhaustive differential
+// Subset sweep
 //
-// The demand solver (Heintze/Tardieu style, used by the lint paths) must
-// compute the identical least solution to the exhaustive fixpoint for
-// every query. Two layers of checking per program: the external
-// EXPECT_EQs below compare the two instances' answers for every symbol
-// reference at both dereference depths in every function context, and
-// the demand instance runs with CrossCheck so any divergence at *any*
-// node solved along the way aborts with a diagnostic even if no external
-// query would surface it.
+// Inclusion constraints only refine unification: whatever Andersen says
+// a reference may point to, Steensgaard must say too. SubsetOfSteensgaard
+// checks that envelope on one hand-built program; this sweep checks it
+// for every symbol reference at both dereference depths in every function
+// context over the repro corpus and 500 random programs.
 //===----------------------------------------------------------------------===//
 
-void diffDemandVsExhaustive(ir::Module &M, const std::string &Context) {
-  AndersenAnalysis Ex(M, AndersenAnalysis::SolveMode::Exhaustive);
-  AndersenAnalysis Dm(M, AndersenAnalysis::SolveMode::Demand,
-                      /*CrossCheck=*/true);
+void expectSubsetOfSteensgaard(ir::Module &M, const std::string &Context) {
+  AndersenAnalysis AA(M);
+  SteensgaardAnalysis SA(M);
 
   std::vector<const Function *> Contexts{nullptr};
   for (unsigned FI = 0; FI < M.numFunctions(); ++FI)
@@ -206,19 +202,18 @@ void diffDemandVsExhaustive(ir::Module &M, const std::string &Context) {
       MemRef Ref = indirectRef(S, TypeKind::Int);
       Ref.Depth = Depth;
       for (const Function *F : Contexts) {
-        EXPECT_EQ(Ex.mayPointees(Ref, F), Dm.mayPointees(Ref, F))
-            << Context << ": *" << std::string(Depth - 1, '*') << S->Name
-            << " in " << (F ? F->getName() : "<global>");
-        EXPECT_EQ(Ex.pointsToSetOf(Ref, F), Dm.pointsToSetOf(Ref, F))
-            << Context << ": points-to set of " << S->Name;
+        auto Coarse = SA.mayPointees(Ref, F);
+        for (const Symbol *P : AA.mayPointees(Ref, F))
+          EXPECT_TRUE(contains(Coarse, P))
+              << Context << ": *" << std::string(Depth - 1, '*') << S->Name
+              << " in " << (F ? F->getName() : "<global>") << " -> "
+              << P->Name << " found by Andersen but not Steensgaard";
       }
     }
-    EXPECT_EQ(Ex.isCallClobbered(S), Dm.isCallClobbered(S))
-        << Context << ": clobber verdict for " << S->Name;
   }
 }
 
-TEST(AndersenDifferential, ReproCorpus) {
+TEST(AndersenSubsetSweep, ReproCorpus) {
   namespace fs = std::filesystem;
   fs::path Dir = fs::path(SRP_SOURCE_DIR) / "fuzz-repros";
   ASSERT_TRUE(fs::exists(Dir)) << Dir << " missing";
@@ -234,19 +229,19 @@ TEST(AndersenDifferential, ReproCorpus) {
     std::string Error;
     ASSERT_TRUE(ir::parseModule(Buf.str(), M, Error))
         << Entry.path() << ": " << Error;
-    diffDemandVsExhaustive(M, Entry.path().filename().string());
+    expectSubsetOfSteensgaard(M, Entry.path().filename().string());
     ++Checked;
   }
   EXPECT_GT(Checked, 0u) << "corpus is empty";
 }
 
-TEST(AndersenDifferential, RandomPrograms) {
+TEST(AndersenSubsetSweep, RandomPrograms) {
   // Seeded, so one failing seed is a stable repro; widen the range when
   // hunting rather than re-rolling these.
   for (uint64_t Seed = 1; Seed <= 500; ++Seed) {
     Module M;
     fuzz::buildRandomProgram(M, Seed);
-    diffDemandVsExhaustive(M, "seed " + std::to_string(Seed));
+    expectSubsetOfSteensgaard(M, "seed " + std::to_string(Seed));
     if (HasFailure())
       FAIL() << "stopping at first failing seed " << Seed;
   }

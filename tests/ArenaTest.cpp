@@ -78,33 +78,6 @@ TEST(ArenaTest, ResetRunsDestructorsInReverseOrder) {
   Order.clear();
 }
 
-TEST(ArenaTest, InternDeduplicates) {
-  Arena A;
-  std::string_view V1 = A.intern("promoted");
-  std::string_view V2 = A.intern(std::string("prom") + "oted");
-  EXPECT_EQ(V1, "promoted");
-  EXPECT_EQ(V1.data(), V2.data()) << "equal strings share storage";
-  std::string_view Other = A.intern("other");
-  EXPECT_NE(V1.data(), Other.data());
-  EXPECT_EQ(A.intern("").size(), 0u);
-}
-
-TEST(ArenaTest, ArenaVectorGrowth) {
-  Arena A;
-  ArenaVector<int> V(A);
-  EXPECT_TRUE(V.empty());
-  for (int I = 0; I < 1000; ++I)
-    V.push_back(I);
-  EXPECT_EQ(V.size(), 1000u);
-  for (int I = 0; I < 1000; ++I)
-    ASSERT_EQ(V[size_t(I)], I);
-  V.pop_back();
-  EXPECT_EQ(V.size(), 999u);
-  EXPECT_EQ(V.back(), 998);
-  V.clear();
-  EXPECT_TRUE(V.empty());
-}
-
 // Under AddressSanitizer the allocator poisons slab tails and re-poisons
 // recycled memory at reset, so stale pointers trip ASan like a heap
 // use-after-free. The shadow-state checks only exist under ASan; the

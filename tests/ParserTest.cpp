@@ -345,6 +345,14 @@ TEST(ParserTest, RejectsMalformedNumbers) {
   EXPECT_GT(BB->stmt(5)->A.FloatVal, 0.0);
 }
 
+TEST(ParserTest, RejectsNamelessDeclarations) {
+  EXPECT_EQ(parseError("global : int\n"), "line 1: global without a name");
+  EXPECT_EQ(parseError("func main() {\n  local : int\nentry:\n  ret\n}\n"),
+            "line 2: local without a name");
+  EXPECT_EQ(parseError("func main() {\n  local }\n"),
+            "line 2: local without a name");
+}
+
 TEST(ParserTest, TempIdsKeepTheirMapping) {
   // Text ids are names: any int64 maps to a fresh temp in mention order,
   // including negative and huge ones.
