@@ -22,8 +22,9 @@
 /// the thread count.
 ///
 /// Two input modes, selected by which field of PipelineState is set:
-///  * workload mode (W): the evaluation flow — build the train module,
-///    profile it, rebuild at ref scale, remap the profiles, promote,
+///  * workload mode (W): the evaluation flow — build the train and ref
+///    modules, profile the train module, promote the ref module with
+///    those profiles (both builds share the ids they are keyed by),
 ///    simulate (used by runPipeline and the benches);
 ///  * module mode (External): an existing module is profiled and
 ///    transformed in place, and the train run doubles as the oracle
@@ -67,8 +68,8 @@ struct PipelineState {
   // module being compiled; module mode transforms *External in place.
   ir::Module TrainModule;
   ir::Module RefModule;
-  /// Profiles keyed to module()'s functions (the profile pass remaps
-  /// train-module keys in workload mode).
+  /// The train run's profiles. Their keys are ids (interp/Profile.h),
+  /// which module() shares with the train module in workload mode.
   interp::AliasProfile AliasProf;
   interp::EdgeProfile EdgeProf;
   bool HasProfile = false; ///< profile pass ran (it may be disabled)

@@ -1,9 +1,9 @@
 //===- Passes.cpp - The standard pipeline passes -------------------------------===//
 //
-// The paper's evaluation flow (§4) as individual passes. Each pass is the
-// verbatim successor of one phase of the old monolithic runPipeline; the
-// behavioural contract (verification points, error messages, profile
-// remapping) is unchanged.
+// The paper's evaluation flow (§4) as individual passes: build and verify
+// the modules, profile the train input, promote, check, lower, allocate
+// and simulate the ref input. The train profile is keyed by ids the train
+// and ref builds share, so it applies to the ref module as recorded.
 //
 //===----------------------------------------------------------------------===//
 
@@ -25,7 +25,8 @@ namespace {
 
 /// Builds (workload mode) or adopts (module mode) the modules and
 /// verifies them. Workload mode also checks the documented contract that
-/// the train and ref builds have the same code shape.
+/// the train and ref builds have the same code shape: per function, the
+/// same block and statement ids, which the profiles are keyed by.
 class BuildPass final : public Pass {
 public:
   std::string_view name() const override { return "build"; }
@@ -62,8 +63,7 @@ public:
     // The paper compiles one binary with train feedback and measures the
     // ref input. Build(M, Scale) bakes the input scale into the program
     // as data, so the ref module is a fresh build whose *code shape* is
-    // identical (a documented Workload contract, checked here and per
-    // function by the profile pass).
+    // identical (a documented Workload contract, checked here).
     W.Build(S.RefModule, W.RefScale);
     for (unsigned I = 0; I < S.RefModule.numFunctions(); ++I)
       S.RefModule.function(I)->recomputeCFG();
@@ -72,8 +72,16 @@ public:
       S.Result.Error = "ref module verification failed: " + Errors[0];
       return false;
     }
-    if (S.RefModule.numFunctions() != S.TrainModule.numFunctions()) {
-      S.Result.Error = "workload changes shape across scales";
+    bool SameShape =
+        S.RefModule.numFunctions() == S.TrainModule.numFunctions();
+    for (unsigned I = 0; SameShape && I < S.RefModule.numFunctions(); ++I) {
+      const ir::Function *TrainF = S.TrainModule.function(I);
+      const ir::Function *RefF = S.RefModule.function(I);
+      SameShape = TrainF->numBlocks() == RefF->numBlocks() &&
+                  TrainF->numStmtIds() == RefF->numStmtIds();
+    }
+    if (!SameShape) {
+      S.Result.Error = "workload changes CFG shape across scales";
       return false;
     }
     return true;
@@ -81,9 +89,10 @@ public:
 };
 
 /// Runs the interpreter on the train input collecting alias and edge
-/// profiles. Workload mode remaps the profile keys onto the ref module
-/// (same function index, same statement ids); module mode profiles the
-/// module in place and keeps the run's output as the correctness oracle.
+/// profiles: the train module in workload mode, the module itself in
+/// module mode, which keeps the run's output as the correctness oracle.
+/// The profiles are keyed by ids the train and ref builds share (checked
+/// by BuildPass), so they apply to the ref module as recorded.
 class ProfilePass final : public Pass {
 public:
   std::string_view name() const override { return "profile"; }
@@ -91,98 +100,34 @@ public:
     return "interpret the train input, collect alias and edge profiles";
   }
   bool run(PipelineState &S) override {
-    if (S.External) {
-      interp::Interpreter Interp(*S.External);
-      Interp.setAliasProfile(&S.AliasProf);
-      Interp.setEdgeProfile(&S.EdgeProf);
-      interp::RunResult R = Interp.run(S.Config.InterpFuel);
-      if (!R.Ok) {
-        S.Result.Error = "train run failed: " + R.Error;
-        return false;
-      }
-      S.OracleOutput = std::move(R.Output);
-      S.HasProfile = true;
-      return true;
-    }
     // The train run depends only on (workload, train scale, fuel) — the
     // promotion config has not entered the pipeline yet — so the grid's
-    // configs of one workload share a memoized id-space snapshot of it
-    // (ProfileCache.h) when the driver provides a cache.
-    std::shared_ptr<const ProfileSnapshot> Snap;
+    // configs of one workload share its profiles (ProfileCache.h) when
+    // the driver provides a cache.
     std::string Key;
-    if (S.ProfCache) {
+    if (S.W && S.ProfCache) {
       Key = std::string(S.W->Name) + "#" + std::to_string(S.W->TrainScale) +
             "#" + std::to_string(S.Config.InterpFuel);
-      Snap = S.ProfCache->lookup(Key);
-    }
-    if (!Snap) {
-      interp::AliasProfile TrainAP;
-      interp::EdgeProfile TrainEP;
-      {
-        interp::Interpreter Interp(S.TrainModule);
-        Interp.setAliasProfile(&TrainAP);
-        Interp.setEdgeProfile(&TrainEP);
-        interp::RunResult R = Interp.run(S.Config.InterpFuel);
-        if (!R.Ok) {
-          S.Result.Error = "train run failed: " + R.Error;
-          return false;
-        }
+      if (std::shared_ptr<const TrainProfile> P = S.ProfCache->lookup(Key)) {
+        S.AliasProf = P->Alias;
+        S.EdgeProf = P->Edges;
+        S.HasProfile = true;
+        return true;
       }
-      auto NewSnap = std::make_shared<ProfileSnapshot>();
-      for (unsigned FI = 0; FI < S.TrainModule.numFunctions(); ++FI) {
-        const ir::Function *TrainF = S.TrainModule.function(FI);
-        NewSnap->FuncNumBlocks.push_back(TrainF->numBlocks());
-        for (unsigned BI = 0; BI < TrainF->numBlocks(); ++BI) {
-          const ir::BasicBlock *TB = TrainF->block(BI);
-          ProfileSnapshot::BlockEntry BE{FI, BI, TrainEP.blockCount(TB), {}};
-          for (size_t SI = 0; SI < TB->succs().size(); ++SI)
-            BE.SuccCounts.push_back(TrainEP.edgeCount(TB, TB->succs()[SI]));
-          NewSnap->Blocks.push_back(std::move(BE));
-          for (size_t SI = 0; SI < TB->size(); ++SI) {
-            const ir::Stmt *TS = TB->stmt(SI);
-            for (unsigned Level = 1; Level <= TS->Ref.Depth; ++Level) {
-              const std::set<unsigned> *Targets =
-                  TrainAP.targets(TrainF, TS->Id, Level);
-              if (!Targets)
-                continue;
-              NewSnap->Alias.push_back(
-                  {FI, BI, static_cast<unsigned>(SI), Level,
-                   std::vector<unsigned>(Targets->begin(), Targets->end())});
-            }
-          }
-        }
-      }
-      if (S.ProfCache)
-        Snap = S.ProfCache->insert(Key, std::move(NewSnap));
-      else
-        Snap = std::move(NewSnap);
     }
-    // Rebind the snapshot onto the ref module (same function index, same
-    // block index, same statement position — exactly what the previous
-    // pointer-space remap transferred).
-    for (unsigned FI = 0; FI < S.RefModule.numFunctions(); ++FI)
-      if (FI >= Snap->FuncNumBlocks.size() ||
-          Snap->FuncNumBlocks[FI] != S.RefModule.function(FI)->numBlocks()) {
-        S.Result.Error = "workload changes CFG shape across scales";
-        return false;
-      }
-    for (const ProfileSnapshot::BlockEntry &BE : Snap->Blocks) {
-      const ir::Function *RefF = S.RefModule.function(BE.FuncIdx);
-      const ir::BasicBlock *RB = RefF->block(BE.BlockIdx);
-      S.EdgeProf.addBlockCount(RB, BE.Count);
-      for (size_t SI = 0;
-           SI < BE.SuccCounts.size() && SI < RB->succs().size(); ++SI)
-        S.EdgeProf.addEdgeCount(RB, RB->succs()[SI], BE.SuccCounts[SI]);
+    interp::Interpreter Interp(S.External ? *S.External : S.TrainModule);
+    Interp.setAliasProfile(&S.AliasProf);
+    Interp.setEdgeProfile(&S.EdgeProf);
+    interp::RunResult R = Interp.run(S.Config.InterpFuel);
+    if (!R.Ok) {
+      S.Result.Error = "train run failed: " + R.Error;
+      return false;
     }
-    for (const ProfileSnapshot::AliasEntry &AE : Snap->Alias) {
-      const ir::Function *RefF = S.RefModule.function(AE.FuncIdx);
-      const ir::BasicBlock *RB = RefF->block(AE.BlockIdx);
-      if (AE.StmtPos >= RB->size())
-        continue;
-      unsigned StmtId = RB->stmt(AE.StmtPos)->Id;
-      for (unsigned Sym : AE.Symbols)
-        S.AliasProf.recordTarget(RefF, StmtId, AE.Level, Sym);
-    }
+    if (S.External)
+      S.OracleOutput = std::move(R.Output);
+    if (!Key.empty())
+      S.ProfCache->insert(Key, std::make_shared<const TrainProfile>(
+                                   TrainProfile{S.AliasProf, S.EdgeProf}));
     S.HasProfile = true;
     return true;
   }

@@ -1,4 +1,4 @@
-//===- ProfileCache.h - Shared train-profile snapshots ----------*- C++ -*-===//
+//===- ProfileCache.h - Shared train-run profiles ---------------*- C++ -*-===//
 //
 // Part of the srp-alat project.
 //
@@ -9,11 +9,12 @@
 /// train run (interpret the train-scale build, collect alias and edge
 /// profiles) depends only on the workload — every config of a workload
 /// interprets the identical program and collects the identical profile.
-/// ProfileCache memoizes that run as an id-space snapshot (function
-/// index, block index, statement position), which a later pipeline
-/// rebinds onto its own ref module's pointers in one cheap sweep.
+/// ProfileCache memoizes the profiles of that run. They are keyed by
+/// function index and block/statement id (interp/Profile.h), which the
+/// train and ref builds share, so a later pipeline copies them as they
+/// are.
 ///
-/// Determinism: a snapshot's content is a pure function of the cache key
+/// Determinism: a cached profile is a pure function of the cache key
 /// (workload, train scale, interpreter fuel), so which worker computes
 /// it — or whether two compute it racing and one insert wins — cannot
 /// change any pipeline's result. core::runExperiments stays byte-
@@ -24,68 +25,40 @@
 #ifndef SRP_CORE_PROFILECACHE_H
 #define SRP_CORE_PROFILECACHE_H
 
-#include <cstdint>
+#include "interp/Profile.h"
+
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <vector>
 
 namespace srp::core {
 
-/// One workload's train-run profiles with every module pointer replaced
-/// by its positional id, exactly mirroring what ProfilePass's remap
-/// transfers (same function index, same block index, same statement
-/// position).
-struct ProfileSnapshot {
-  /// Observed alias targets of one (statement, dereference level) site.
-  struct AliasEntry {
-    unsigned FuncIdx;
-    unsigned BlockIdx;
-    unsigned StmtPos;
-    unsigned Level;
-    std::vector<unsigned> Symbols; ///< sorted (harvested from a std::set)
-  };
-  /// One block's execution count and per-successor edge counts.
-  struct BlockEntry {
-    unsigned FuncIdx;
-    unsigned BlockIdx;
-    uint64_t Count;
-    std::vector<uint64_t> SuccCounts; ///< by successor position
-  };
-
-  /// Block count per function at snapshot time; the rebind re-checks the
-  /// ref module against these so the "workload changes CFG shape across
-  /// scales" diagnostic still fires.
-  std::vector<unsigned> FuncNumBlocks;
-  std::vector<BlockEntry> Blocks;
-  std::vector<AliasEntry> Alias;
+/// The profiles of one train run.
+struct TrainProfile {
+  interp::AliasProfile Alias;
+  interp::EdgeProfile Edges;
 };
 
-/// Keyed snapshot store shared by all pipelines of one experiment run.
+/// Keyed profile store shared by all pipelines of one experiment run.
 class ProfileCache {
 public:
-  std::shared_ptr<const ProfileSnapshot>
-  lookup(const std::string &Key) const {
+  std::shared_ptr<const TrainProfile> lookup(const std::string &Key) const {
     std::lock_guard<std::mutex> L(M);
     auto It = Map.find(Key);
     return It == Map.end() ? nullptr : It->second;
   }
 
-  /// First insert for a key wins; returns the snapshot that is in the
-  /// cache after the call (losing duplicates are discarded — they are
-  /// byte-identical by construction).
-  std::shared_ptr<const ProfileSnapshot>
-  insert(const std::string &Key, std::shared_ptr<const ProfileSnapshot> S) {
+  /// First insert for a key wins; a losing duplicate is discarded (it is
+  /// identical by construction).
+  void insert(const std::string &Key, std::shared_ptr<const TrainProfile> P) {
     std::lock_guard<std::mutex> L(M);
-    auto [It, Inserted] = Map.emplace(Key, std::move(S));
-    (void)Inserted;
-    return It->second;
+    Map.try_emplace(Key, std::move(P));
   }
 
 private:
   mutable std::mutex M;
-  std::map<std::string, std::shared_ptr<const ProfileSnapshot>> Map;
+  std::map<std::string, std::shared_ptr<const TrainProfile>> Map;
 };
 
 } // namespace srp::core

@@ -137,10 +137,10 @@ private:
   ResultCache Cache;
   std::atomic<bool> Shutdown{false};
 
-  /// Train-run profile snapshots across requests: they are a pure
-  /// function of (workload, scale, fuel), so repeat named-workload
-  /// requests skip the train interpretation even when the result cache
-  /// misses (different promotion config, same workload). Locks itself.
+  /// Train-run profiles across requests: they are a pure function of
+  /// (workload, scale, fuel), so repeat named-workload requests skip the
+  /// train interpretation even when the result cache misses (different
+  /// promotion config, same workload). Locks itself.
   ProfileCache Profiles;
 
   /// Counting semaphore bounding in-flight pipeline runs to

@@ -11,6 +11,11 @@
 /// builder then marks χ/μ whose target never appears in the profile as
 /// speculative. The edge profile guides PRE's profitability heuristics.
 ///
+/// Both profiles are keyed by ids, not pointers: function index, statement
+/// id and block id. A workload's train and ref builds share those ids, so
+/// a profile recorded on the train module applies to the ref module as it
+/// is.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef SRP_INTERP_PROFILE_H
@@ -18,17 +23,18 @@
 
 #include "ir/CFG.h"
 
+#include <cassert>
 #include <cstdint>
 #include <map>
 #include <set>
-#include <utility>
+#include <vector>
 
 namespace srp::interp {
 
 /// Per-site observed points-to targets.
 ///
-/// A site is (function, statement id); for an access of dereference depth
-/// D, level i in [1, D] records the symbol whose storage the i-th
+/// A site is (function index, statement id); for an access of dereference
+/// depth D, level i in [1, D] records the symbol whose storage the i-th
 /// dereference landed in. Dereferences of addresses outside any known
 /// object record the distinguished UnknownTarget.
 class AliasProfile {
@@ -39,24 +45,15 @@ public:
   /// Records one observed target at \p Level (1-based) of the access at
   /// statement \p StmtId in \p F. Hot interpreter loops record the same
   /// (site, symbol) observation millions of times in a row, so the last
-  /// observation short-circuits the map-and-set insert; the cache holds
-  /// no pointers and only ever skips work already done, so it stays
-  /// correct under copy and move.
+  /// observation short-circuits the map-and-set insert.
   void recordTarget(const ir::Function *F, unsigned StmtId, unsigned Level,
                     unsigned SymbolId) {
-    if (F == LastKey.F && StmtId == LastKey.StmtId &&
-        Level == LastKey.Level && SymbolId == LastSym)
+    SiteKey Key{F->index(), StmtId, Level};
+    if (Key == LastKey && SymbolId == LastSym)
       return;
-    Targets[SiteKey{F, StmtId, Level}].insert(SymbolId);
-    LastKey = SiteKey{F, StmtId, Level};
+    Targets[Key].insert(SymbolId);
+    LastKey = Key;
     LastSym = SymbolId;
-  }
-
-  /// True if the site executed at least once (any level).
-  bool siteExecuted(const ir::Function *F, unsigned StmtId) const {
-    auto It = Targets.lower_bound(SiteKey{F, StmtId, 0});
-    return It != Targets.end() && It->first.F == F &&
-           It->first.StmtId == StmtId;
   }
 
   /// True if \p Sym was ever a level-\p Level target of the site. Returns
@@ -64,129 +61,98 @@ public:
   /// (the profile cannot rule anything out then).
   bool observed(const ir::Function *F, unsigned StmtId, unsigned Level,
                 const ir::Symbol *Sym) const {
-    auto It = Targets.find(SiteKey{F, StmtId, Level});
-    if (It == Targets.end())
-      return false;
-    return It->second.count(Sym->Id) || It->second.count(UnknownTarget);
+    const std::set<unsigned> *T = targets(F, StmtId, Level);
+    return T && (T->count(Sym->Id) || T->count(UnknownTarget));
   }
 
   /// Observed target set of one level, or null.
   const std::set<unsigned> *targets(const ir::Function *F, unsigned StmtId,
                                     unsigned Level) const {
-    auto It = Targets.find(SiteKey{F, StmtId, Level});
+    auto It = Targets.find(SiteKey{F->index(), StmtId, Level});
     return It == Targets.end() ? nullptr : &It->second;
   }
 
-  /// Number of profiled (site, level) entries.
-  size_t size() const { return Targets.size(); }
-
 private:
   struct SiteKey {
-    const ir::Function *F;
+    unsigned FuncIdx;
     unsigned StmtId;
     unsigned Level;
 
-    bool operator<(const SiteKey &O) const {
-      if (F != O.F)
-        return F < O.F;
-      if (StmtId != O.StmtId)
-        return StmtId < O.StmtId;
-      return Level < O.Level;
-    }
+    auto operator<=>(const SiteKey &) const = default;
   };
 
   std::map<SiteKey, std::set<unsigned>> Targets;
-  /// Last recorded observation (see recordTarget).
-  SiteKey LastKey{nullptr, 0, 0};
+  /// Last recorded observation (see recordTarget); level 0 is never
+  /// recorded, so the initial key matches nothing.
+  SiteKey LastKey{0, 0, 0};
   unsigned LastSym = 0;
 };
 
-/// Block and edge execution counts.
-///
-/// The two count methods run once per interpreted block and branch, and
-/// repeated executions of a loop hit the same key every time, so each
-/// keeps a one-entry cache of the last counter. The cached pointers
-/// target map nodes (stable under insert), but must not survive into a
-/// copy or out of a move — the special members below reset them.
+/// Block and edge execution counts, in flat per-function tables indexed
+/// by block id.
 class EdgeProfile {
 public:
-  EdgeProfile() = default;
-  EdgeProfile(const EdgeProfile &O)
-      : BlockCounts(O.BlockCounts), EdgeCounts(O.EdgeCounts) {}
-  EdgeProfile(EdgeProfile &&O)
-      : BlockCounts(std::move(O.BlockCounts)),
-        EdgeCounts(std::move(O.EdgeCounts)) {
-    O.resetCache();
-  }
-  EdgeProfile &operator=(const EdgeProfile &O) {
-    BlockCounts = O.BlockCounts;
-    EdgeCounts = O.EdgeCounts;
-    resetCache();
-    return *this;
-  }
-  EdgeProfile &operator=(EdgeProfile &&O) {
-    BlockCounts = std::move(O.BlockCounts);
-    EdgeCounts = std::move(O.EdgeCounts);
-    resetCache();
-    O.resetCache();
-    return *this;
-  }
-
-  void countBlock(const ir::BasicBlock *BB) {
-    if (BB != LastBlock) {
-      LastBlock = BB;
-      LastBlockCount = &BlockCounts[BB];
-    }
-    ++*LastBlockCount;
-  }
+  void countBlock(const ir::BasicBlock *BB) { ++at(BB).Count; }
 
   void countEdge(const ir::BasicBlock *From, const ir::BasicBlock *To) {
-    if (From != LastEdge.first || To != LastEdge.second) {
-      LastEdge = {From, To};
-      LastEdgeCount = &EdgeCounts[LastEdge];
-    }
-    ++*LastEdgeCount;
-  }
-
-  /// Bulk accumulation (profile remapping across module rebuilds).
-  void addBlockCount(const ir::BasicBlock *BB, uint64_t N) {
-    BlockCounts[BB] += N;
-  }
-  void addEdgeCount(const ir::BasicBlock *From, const ir::BasicBlock *To,
-                    uint64_t N) {
-    EdgeCounts[{From, To}] += N;
+    for (Edge &E : at(From).Succs)
+      if (E.To == To->getId() || E.To == NoBlock) {
+        E.To = To->getId();
+        ++E.Count;
+        return;
+      }
+    assert(false && "a block has at most two successors");
   }
 
   uint64_t blockCount(const ir::BasicBlock *BB) const {
-    auto It = BlockCounts.find(BB);
-    return It == BlockCounts.end() ? 0 : It->second;
+    const Counts *C = find(BB);
+    return C ? C->Count : 0;
   }
 
   uint64_t edgeCount(const ir::BasicBlock *From,
                      const ir::BasicBlock *To) const {
-    auto It = EdgeCounts.find({From, To});
-    return It == EdgeCounts.end() ? 0 : It->second;
+    if (const Counts *C = find(From))
+      for (const Edge &E : C->Succs)
+        if (E.To == To->getId())
+          return E.Count;
+    return 0;
   }
-
-  bool empty() const { return BlockCounts.empty(); }
 
 private:
-  void resetCache() {
-    LastBlock = nullptr;
-    LastBlockCount = nullptr;
-    LastEdge = {nullptr, nullptr};
-    LastEdgeCount = nullptr;
+  static constexpr unsigned NoBlock = ~0u;
+
+  struct Edge {
+    unsigned To = NoBlock; ///< target block id
+    uint64_t Count = 0;
+  };
+
+  /// One block's count and out-edges (a terminator has at most two
+  /// targets).
+  struct Counts {
+    uint64_t Count = 0;
+    Edge Succs[2];
+  };
+
+  Counts &at(const ir::BasicBlock *BB) {
+    const ir::Function *F = BB->getParent();
+    if (F->index() >= Funcs.size())
+      Funcs.resize(F->index() + 1);
+    std::vector<Counts> &Blocks = Funcs[F->index()];
+    if (BB->getId() >= Blocks.size())
+      Blocks.resize(F->numBlocks());
+    return Blocks[BB->getId()];
   }
 
-  std::map<const ir::BasicBlock *, uint64_t> BlockCounts;
-  std::map<std::pair<const ir::BasicBlock *, const ir::BasicBlock *>,
-           uint64_t>
-      EdgeCounts;
-  const ir::BasicBlock *LastBlock = nullptr;
-  uint64_t *LastBlockCount = nullptr;
-  std::pair<const ir::BasicBlock *, const ir::BasicBlock *> LastEdge{nullptr,
-                                                                     nullptr};
-  uint64_t *LastEdgeCount = nullptr;
+  /// Null for a block the profile never saw (e.g. one created after the
+  /// profiled run).
+  const Counts *find(const ir::BasicBlock *BB) const {
+    unsigned FI = BB->getParent()->index();
+    if (FI >= Funcs.size() || BB->getId() >= Funcs[FI].size())
+      return nullptr;
+    return &Funcs[FI][BB->getId()];
+  }
+
+  std::vector<std::vector<Counts>> Funcs; ///< [function index][block id]
 };
 
 } // namespace srp::interp

@@ -155,7 +155,8 @@ Symbol *Module::createHeapSite(std::string Name, TypeKind ElemType) {
 }
 
 Function *Module::createFunction(std::string Name) {
-  Functions.push_back(IRArena.create<Function>(std::move(Name), this));
+  Functions.push_back(
+      IRArena.create<Function>(std::move(Name), this, numFunctions()));
   return Functions.back();
 }
 

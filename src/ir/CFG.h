@@ -80,11 +80,15 @@ private:
 /// entry.
 class Function {
 public:
-  Function(std::string Name, Module *Parent)
-      : Name(std::move(Name)), Parent(Parent) {}
+  Function(std::string Name, Module *Parent, unsigned Index)
+      : Name(std::move(Name)), Parent(Parent), Index(Index) {}
 
   const std::string &getName() const { return Name; }
   Module *getParent() const { return Parent; }
+
+  /// Position in the module's function list, fixed at creation. Profiles
+  /// key functions by it (interp/Profile.h).
+  unsigned index() const { return Index; }
 
   /// Creates and appends a new block.
   BasicBlock *createBlock(std::string Name);
@@ -139,6 +143,7 @@ private:
   std::vector<TypeKind> TempTypes;
   std::vector<Symbol *> Locals;
   std::vector<Symbol *> Formals;
+  unsigned Index;
   unsigned NextStmtId = 0;
 };
 

@@ -17,8 +17,10 @@
 ///   promotable references.
 ///
 /// Workload contract: Build(M, Scale) must produce the same code shape
-/// for every scale (only data constants change); the pipeline remaps
-/// train profiles onto the ref build by statement id.
+/// for every scale (only data constants change), so the train and ref
+/// builds share function, block and statement ids and the pipeline
+/// applies train profiles, keyed by those ids, to the ref build as they
+/// are.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -11,6 +11,7 @@
 
 #include "ir/IRBuilder.h"
 #include "workloads/LoopHelper.h"
+#include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
 
@@ -127,6 +128,27 @@ TEST(ExperimentTest, ParallelCountersMatchSerialByteForByte) {
   EXPECT_LT(SerialR[2].Sim.Counters.RetiredLoads,
             SerialR[0].Sim.Counters.RetiredLoads)
       << "alat must retire fewer loads than conservative";
+}
+
+TEST(ExperimentTest, CachedProfilesMatchUncachedPipelines) {
+  // runExperiments shares one ProfileCache across the grid, so up to 20
+  // of the 30 pipelines take a cached train profile; at four threads the
+  // configs of one workload can also miss together and race to insert.
+  // Each result must match a pipeline that runs its own train run.
+  std::vector<Workload> Ws = workloads::standardWorkloads();
+  std::vector<Experiment> Exps;
+  for (const Workload &W : Ws)
+    for (Experiment &E : grid(W))
+      Exps.push_back(std::move(E));
+  ExperimentOptions Opts;
+  Opts.Threads = 4;
+  std::vector<PipelineResult> Cached = runExperiments(Exps, Opts);
+  ASSERT_EQ(Cached.size(), Exps.size());
+  for (size_t I = 0; I < Exps.size(); ++I) {
+    SCOPED_TRACE(Exps[I].Label);
+    EXPECT_TRUE(Cached[I].Ok) << Cached[I].Error;
+    expectIdentical(Cached[I], runPipeline(*Exps[I].W, Exps[I].Config));
+  }
 }
 
 TEST(ExperimentTest, ResultsComeBackInInputOrder) {

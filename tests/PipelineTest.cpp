@@ -1,6 +1,7 @@
 //===- PipelineTest.cpp - End-to-end pipeline and workload tests -*- C++ -*-===//
 
 #include "core/Pipeline.h"
+#include "ir/IRBuilder.h"
 #include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
@@ -176,6 +177,45 @@ TEST(PipelineTest, ProfileRemapAcrossScalesIsStable) {
   ASSERT_TRUE(R.Ok) << R.Error;
   EXPECT_GT(R.Promotion.loadsRemoved(), 0u);
   EXPECT_GT(R.Sim.Counters.AlatChecks, 0u);
+}
+
+/// A workload whose ref build breaks the shape contract: it adds a block,
+/// or a statement to an existing block, that the train build lacks.
+Workload shapeChangingWorkload(bool ExtraBlock) {
+  Workload W;
+  W.Name = ExtraBlock ? "extrablock" : "extrastmt";
+  W.TrainScale = 1;
+  W.RefScale = 2;
+  W.Build = [ExtraBlock](ir::Module &M, uint64_t Scale) {
+    ir::Symbol *G = M.createGlobal("g", ir::TypeKind::Int);
+    ir::IRBuilder B(M);
+    B.startFunction("main");
+    B.emitStore(ir::directRef(G),
+                ir::Operand::constInt(static_cast<int64_t>(Scale)));
+    if (Scale == 2 && ExtraBlock) {
+      ir::BasicBlock *Next = B.createBlock("next");
+      B.setBr(Next);
+      B.setBlock(Next);
+    } else if (Scale == 2) {
+      B.emitStore(ir::directRef(G), ir::Operand::constInt(0));
+    }
+    unsigned T = B.emitLoad(ir::directRef(G));
+    B.emitPrint(ir::Operand::temp(T));
+    B.setRet();
+  };
+  return W;
+}
+
+TEST(PipelineTest, RejectsRefBuildWithExtraBlock) {
+  PipelineResult R = runPipeline(shapeChangingWorkload(true), alatConfig());
+  EXPECT_FALSE(R.Ok);
+  EXPECT_EQ(R.Error, "workload changes CFG shape across scales");
+}
+
+TEST(PipelineTest, RejectsRefBuildWithExtraStatement) {
+  PipelineResult R = runPipeline(shapeChangingWorkload(false), alatConfig());
+  EXPECT_FALSE(R.Ok);
+  EXPECT_EQ(R.Error, "workload changes CFG shape across scales");
 }
 
 TEST(PipelineTest, DisablingAliasProfileDisablesDataSpeculation) {

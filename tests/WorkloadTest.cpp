@@ -3,8 +3,9 @@
 // The Workload contract (Workloads.h): builders are deterministic,
 // verifier-clean, terminate within the fuel budget, keep the same code
 // shape across scales (only data constants may change — the pipeline
-// remaps train profiles onto the ref build by statement id), and exhibit
-// the static ambiguity speculation needs.
+// applies train profiles, keyed by function, block and statement ids, to
+// the ref build as they are), and exhibit the static ambiguity
+// speculation needs.
 //
 //===----------------------------------------------------------------------===//
 
