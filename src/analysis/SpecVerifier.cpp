@@ -17,6 +17,13 @@
 //      entry pressure (interp::AlatObserver enforces the same accounting
 //      dynamically, which is what the differential test compares).
 //
+// All four are one solver (FunctionChecker::solveForward) with different
+// transfer functions. It sweeps the reachable blocks in the order of
+// ir::reversePostorder until no OUT state changes, then replays each block
+// once to report. The OUT states live in one flat block x temp byte table;
+// temps, blocks and functions index flat vectors (dense temp index, RPO
+// position, Function::index()).
+//
 //===----------------------------------------------------------------------===//
 
 #include "analysis/SpecVerifier.h"
@@ -27,9 +34,9 @@
 #include "support/StringUtils.h"
 
 #include <algorithm>
-#include <map>
-#include <set>
-#include <unordered_map>
+#include <cassert>
+#include <functional>
+#include <optional>
 
 using namespace srp;
 using namespace srp::ir;
@@ -59,30 +66,86 @@ bool isGuardedSelect(const Stmt &S) {
 
 class FunctionChecker {
 public:
+  /// \p CalleePeak holds the ALAT pressure of every function verified so
+  /// far, by Function::index() (0 for the rest).
   FunctionChecker(const Function &F, const SpecVerifyConfig &Config,
-                  const std::map<const Function *, unsigned> &CalleePeak,
+                  const std::vector<unsigned> &CalleePeak,
                   std::vector<SpecDiag> &Diags)
       : F(F), Config(Config), CalleePeak(CalleePeak), Diags(Diags) {}
 
   /// Runs every check. Returns the function's worst-case ALAT pressure
   /// (own live entries plus the deepest callee contribution).
   unsigned run() {
-    computeRPO();
+    // Unreachable blocks are skipped: no executable path means no
+    // speculation obligation.
+    RPO = reversePostorder(F);
+    RpoIndex.assign(F.numBlocks(), NoIndex);
+    for (unsigned I = 0; I < RPO.size(); ++I)
+      RpoIndex[RPO[I]->getId()] = I;
     collectTemps();
     if (N == 0)
       return 0; // Nothing speculative anywhere in the function.
     checkStructure();
-    runStateMachine();
-    runDefinedness();
+    // E1/E2: every register starts unanchored.
+    solveForward(0, StUnanchored, 0, Meet::Union,
+                 std::bind_front(&FunctionChecker::transferState, this));
+    // E3: a must-analysis, so non-entry blocks start from the optimistic
+    // all-defined state.
+    solveForward(1, 0, 1, Meet::Intersection,
+                 std::bind_front(&FunctionChecker::transferDefined, this));
     if (Config.AA)
       runAddrStaleness();
     return runCapacity();
   }
 
 private:
+  /// One byte per tracked temp (dense index).
+  using State = std::vector<uint8_t>;
+  enum class Meet { Union, Intersection };
+  static constexpr unsigned NoIndex = ~0u;
+
   //===--------------------------------------------------------------===//
   // Infrastructure
   //===--------------------------------------------------------------===//
+
+  /// Solves one forward analysis over the reachable blocks. Every OUT
+  /// starts at \p Init; a block's IN is \p EntryIn at the entry and
+  /// \p OtherIn elsewhere, met with the OUT of each reachable predecessor;
+  /// \p Transfer(S, St, Report, BB) steps one statement. Sweeps RPO until
+  /// no OUT changes, then replays each block once with Report set.
+  template <typename TransferFn>
+  void solveForward(uint8_t Init, uint8_t EntryIn, uint8_t OtherIn,
+                    Meet Op, TransferFn Transfer) {
+    Out.assign(RPO.size() * N, Init);
+    // Leaves the block's OUT under the current table in In.
+    auto RunBlock = [&](unsigned BI, bool Report) {
+      const BasicBlock *BB = RPO[BI];
+      In.assign(N, BB == F.entry() ? EntryIn : OtherIn);
+      for (const BasicBlock *P : BB->preds()) {
+        unsigned PI = RpoIndex[P->getId()];
+        if (PI == NoIndex)
+          continue;
+        const uint8_t *POut = &Out[size_t(PI) * N];
+        for (unsigned I = 0; I < N; ++I)
+          In[I] = Op == Meet::Union ? In[I] | POut[I] : In[I] & POut[I];
+      }
+      for (size_t SI = 0, SE = BB->size(); SI != SE; ++SI)
+        Transfer(*BB->stmt(SI), In, Report, BB);
+    };
+    for (bool Changed = true; Changed;) {
+      Changed = false;
+      for (unsigned BI = 0; BI < RPO.size(); ++BI) {
+        RunBlock(BI, /*Report=*/false);
+        uint8_t *BOut = &Out[size_t(BI) * N];
+        if (!std::equal(In.begin(), In.end(), BOut)) {
+          std::copy(In.begin(), In.end(), BOut);
+          Changed = true;
+        }
+      }
+    }
+    for (unsigned BI = 0; BI < RPO.size(); ++BI)
+      RunBlock(BI, /*Report=*/true);
+  }
 
   void emit(SpecDiagKind Kind, SpecDiagSeverity Sev, const BasicBlock *BB,
             const Stmt *S, std::string Message) {
@@ -99,47 +162,27 @@ private:
     Diags.push_back(std::move(D));
   }
 
-  void computeRPO() {
-    std::vector<const BasicBlock *> Post;
-    std::set<const BasicBlock *> Seen;
-    // Iterative DFS from the entry; unreachable blocks are skipped (no
-    // executable path means no speculation obligation).
-    std::vector<std::pair<const BasicBlock *, size_t>> Stack;
-    Stack.push_back({F.entry(), 0});
-    Seen.insert(F.entry());
-    while (!Stack.empty()) {
-      auto &[BB, NextSucc] = Stack.back();
-      if (NextSucc < BB->succs().size()) {
-        const BasicBlock *S = BB->succs()[NextSucc++];
-        if (Seen.insert(S).second)
-          Stack.push_back({S, 0});
-      } else {
-        Post.push_back(BB);
-        Stack.pop_back();
-      }
-    }
-    RPO.assign(Post.rbegin(), Post.rend());
-    RpoIndex.clear();
-    for (size_t I = 0; I < RPO.size(); ++I)
-      RpoIndex[RPO[I]] = I;
-  }
-
   bool tracked(unsigned Temp) const {
-    return Temp != NoTemp && Index.count(Temp) != 0;
+    return Temp < Index.size() && Index[Temp] != NoIndex;
   }
-  unsigned idx(unsigned Temp) const { return Index.at(Temp); }
+  unsigned idx(unsigned Temp) const {
+    assert(tracked(Temp) && "temp takes no part in speculation");
+    return Index[Temp];
+  }
 
   void addTemp(unsigned Temp) {
-    if (Temp == NoTemp || Index.count(Temp))
+    if (Temp == NoTemp || tracked(Temp))
       return;
+    if (Temp >= Index.size())
+      Index.resize(Temp + 1, NoIndex);
     Index[Temp] = N++;
-    TempIds.push_back(Temp);
   }
 
   /// Collects every temp participating in speculation: flagged load
   /// destinations, chain pointers (AddrDst of advanced loads, AddrSrc of
   /// checks), st.a entry registers and invala.e targets.
   void collectTemps() {
+    Index.assign(F.numTemps(), NoIndex);
     for (const BasicBlock *BB : RPO) {
       for (size_t SI = 0, SE = BB->size(); SI != SE; ++SI) {
         const Stmt &S = *BB->stmt(SI);
@@ -172,22 +215,23 @@ private:
   //===--------------------------------------------------------------===//
 
   void checkStructure() {
-    // Canonical promoted expression per register, from the first flagged
-    // statement that names it.
-    std::unordered_map<unsigned, const MemRef *> Canon;
-    std::set<unsigned> RefMismatchReported;
+    // Canonical promoted expression per register (by dense index), from
+    // the first flagged statement that names it.
+    std::vector<const MemRef *> Canon(N, nullptr);
+    std::vector<char> RefMismatchReported(N, 0);
     auto NoteRef = [&](unsigned Temp, const Stmt &S, const BasicBlock *BB) {
-      auto [It, Inserted] = Canon.insert({Temp, &S.Ref});
-      if (Inserted || It->second->sameLexicalRef(S.Ref))
+      unsigned I = idx(Temp);
+      if (!Canon[I])
+        Canon[I] = &S.Ref;
+      if (Canon[I]->sameLexicalRef(S.Ref) || RefMismatchReported[I])
         return;
-      if (RefMismatchReported.insert(Temp).second)
-        emit(SpecDiagKind::MalformedRecovery, SpecDiagSeverity::Error, BB,
-             &S,
-             formatString("speculative statements for t%u disagree on the "
-                          "promoted expression ('%s' here vs '%s' at its "
-                          "first speculative use)",
-                          Temp, memRefToString(S.Ref).c_str(),
-                          memRefToString(*It->second).c_str()));
+      RefMismatchReported[I] = 1;
+      emit(SpecDiagKind::MalformedRecovery, SpecDiagSeverity::Error, BB, &S,
+           formatString("speculative statements for t%u disagree on the "
+                        "promoted expression ('%s' here vs '%s' at its "
+                        "first speculative use)",
+                        Temp, memRefToString(S.Ref).c_str(),
+                        memRefToString(*Canon[I]).c_str()));
     };
 
     for (const BasicBlock *BB : RPO) {
@@ -244,7 +288,7 @@ private:
     M = Out;
   }
 
-  void transferState(const Stmt &S, std::vector<uint8_t> &St, bool Report,
+  void transferState(const Stmt &S, State &St, bool Report,
                      const BasicBlock *BB) {
     switch (S.Kind) {
     case StmtKind::Load:
@@ -329,49 +373,11 @@ private:
     }
   }
 
-  void runStateMachine() {
-    const size_t B = RPO.size();
-    std::vector<std::vector<uint8_t>> Out(B, std::vector<uint8_t>(N, 0));
-    auto InOf = [&](size_t BI) {
-      std::vector<uint8_t> In(N, 0);
-      const BasicBlock *BB = RPO[BI];
-      if (BB == F.entry())
-        In.assign(N, StUnanchored);
-      for (const BasicBlock *P : BB->preds()) {
-        auto It = RpoIndex.find(P);
-        if (It == RpoIndex.end())
-          continue; // Unreachable predecessor.
-        for (unsigned I = 0; I < N; ++I)
-          In[I] |= Out[It->second][I];
-      }
-      return In;
-    };
-    bool Changed = true;
-    while (Changed) {
-      Changed = false;
-      for (size_t BI = 0; BI < B; ++BI) {
-        std::vector<uint8_t> St = InOf(BI);
-        for (size_t SI = 0, SE = RPO[BI]->size(); SI != SE; ++SI)
-          transferState(*RPO[BI]->stmt(SI), St, /*Report=*/false, RPO[BI]);
-        if (St != Out[BI]) {
-          Out[BI] = std::move(St);
-          Changed = true;
-        }
-      }
-    }
-    // Reporting pass over the converged states.
-    for (size_t BI = 0; BI < B; ++BI) {
-      std::vector<uint8_t> St = InOf(BI);
-      for (size_t SI = 0, SE = RPO[BI]->size(); SI != SE; ++SI)
-        transferState(*RPO[BI]->stmt(SI), St, /*Report=*/true, RPO[BI]);
-    }
-  }
-
   //===--------------------------------------------------------------===//
   // E3 (dataflow half): saved addresses defined on all paths
   //===--------------------------------------------------------------===//
 
-  void transferDefined(const Stmt &S, std::vector<uint8_t> &Def,
+  void transferDefined(const Stmt &S, State &Def,
                        bool Report, const BasicBlock *BB) {
     if (S.isLoad() && isCheckFlag(S.Flag) && tracked(S.AddrSrc) &&
         !Def[idx(S.AddrSrc)] && Report)
@@ -386,44 +392,6 @@ private:
     // chk.a refreshes the saved pointer after checking it.
     if (S.isLoad() && isChkFamily(S.Flag) && tracked(S.AddrSrc))
       Def[idx(S.AddrSrc)] = 1;
-  }
-
-  void runDefinedness() {
-    const size_t B = RPO.size();
-    // Must-analysis: meet is intersection, so non-entry blocks start from
-    // the optimistic all-defined state.
-    std::vector<std::vector<uint8_t>> Out(B, std::vector<uint8_t>(N, 1));
-    auto InOf = [&](size_t BI) {
-      const BasicBlock *BB = RPO[BI];
-      std::vector<uint8_t> In(N, BB == F.entry() ? 0 : 1);
-      for (const BasicBlock *P : BB->preds()) {
-        auto It = RpoIndex.find(P);
-        if (It == RpoIndex.end())
-          continue;
-        for (unsigned I = 0; I < N; ++I)
-          In[I] = In[I] && Out[It->second][I];
-      }
-      return In;
-    };
-    bool Changed = true;
-    while (Changed) {
-      Changed = false;
-      for (size_t BI = 0; BI < B; ++BI) {
-        std::vector<uint8_t> Def = InOf(BI);
-        for (size_t SI = 0, SE = RPO[BI]->size(); SI != SE; ++SI)
-          transferDefined(*RPO[BI]->stmt(SI), Def, /*Report=*/false,
-                          RPO[BI]);
-        if (Def != Out[BI]) {
-          Out[BI] = std::move(Def);
-          Changed = true;
-        }
-      }
-    }
-    for (size_t BI = 0; BI < B; ++BI) {
-      std::vector<uint8_t> Def = InOf(BI);
-      for (size_t SI = 0, SE = RPO[BI]->size(); SI != SE; ++SI)
-        transferDefined(*RPO[BI]->stmt(SI), Def, /*Report=*/true, RPO[BI]);
-    }
   }
 
   //===--------------------------------------------------------------===//
@@ -444,39 +412,44 @@ private:
   void runAddrStaleness() {
     // Saved pointers of plain (non-chk.a) checks over indirect refs; the
     // chk.a family re-walks the chain and cannot use a stale address.
-    std::unordered_map<unsigned, MemRef> Slot; // dense idx -> pointer cell
+    std::vector<std::optional<MemRef>> Slot(N); // by dense index
+    bool AnySlot = false;
     for (const BasicBlock *BB : RPO)
       for (size_t SI = 0, SE = BB->size(); SI != SE; ++SI) {
         const Stmt &S = *BB->stmt(SI);
         if (S.isLoad() && isCheckFlag(S.Flag) && !isChkFamily(S.Flag) &&
-            S.Ref.isIndirect() && tracked(S.AddrSrc))
-          Slot.emplace(idx(S.AddrSrc), pointerSlot(S.Ref));
+            S.Ref.isIndirect() && tracked(S.AddrSrc) &&
+            !Slot[idx(S.AddrSrc)]) {
+          Slot[idx(S.AddrSrc)] = pointerSlot(S.Ref);
+          AnySlot = true;
+        }
       }
-    if (Slot.empty())
+    if (!AnySlot)
       return;
 
     const alias::AliasAnalysis &AA = *Config.AA;
-    auto Transfer = [&](const Stmt &S, std::vector<uint8_t> &Stale,
-                        bool Report, const BasicBlock *BB) {
-      if (S.isLoad() && isCheckFlag(S.Flag) && !isChkFamily(S.Flag) &&
-          tracked(S.AddrSrc)) {
-        auto It = Slot.find(idx(S.AddrSrc));
-        if (Report && It != Slot.end() && Stale[idx(S.AddrSrc)])
+    solveForward(0, 0, 0, Meet::Union, [&](const Stmt &S, State &Stale,
+                                           bool Report,
+                                           const BasicBlock *BB) {
+      if (Report && S.isLoad() && isCheckFlag(S.Flag) &&
+          !isChkFamily(S.Flag) && tracked(S.AddrSrc)) {
+        const std::optional<MemRef> &Cell = Slot[idx(S.AddrSrc)];
+        if (Cell && Stale[idx(S.AddrSrc)])
           emit(SpecDiagKind::StaleCheckAddress, SpecDiagSeverity::Error, BB,
                &S,
                formatString("the saved address in t%u may be stale: a "
                             "store can modify '%s' between the advanced "
                             "load and this check",
-                            S.AddrSrc,
-                            memRefToString(It->second).c_str()));
+                            S.AddrSrc, memRefToString(*Cell).c_str()));
       }
       if (S.isStore()) {
-        for (auto &[I, Cell] : Slot)
-          if (AA.mayAlias(S.Ref, &F, Cell, &F))
+        for (unsigned I = 0; I < N; ++I)
+          if (Slot[I] && AA.mayAlias(S.Ref, &F, *Slot[I], &F))
             Stale[I] = 1;
       } else if (S.Kind == StmtKind::Call) {
-        for (auto &[I, Cell] : Slot)
-          if (Cell.Depth > 0 || AA.isCallClobbered(Cell.Base))
+        for (unsigned I = 0; I < N; ++I)
+          if (Slot[I] && (Slot[I]->Depth > 0 ||
+                          AA.isCallClobbered(Slot[I]->Base)))
             Stale[I] = 1;
       }
       // Any (re)definition of the saved pointer freshens it: the advanced
@@ -488,46 +461,14 @@ private:
         Stale[idx(S.AddrDst)] = 0;
       if (S.isLoad() && isChkFamily(S.Flag) && tracked(S.AddrSrc))
         Stale[idx(S.AddrSrc)] = 0;
-    };
-
-    const size_t B = RPO.size();
-    std::vector<std::vector<uint8_t>> Out(B, std::vector<uint8_t>(N, 0));
-    auto InOf = [&](size_t BI) {
-      std::vector<uint8_t> In(N, 0);
-      for (const BasicBlock *P : RPO[BI]->preds()) {
-        auto It = RpoIndex.find(P);
-        if (It == RpoIndex.end())
-          continue;
-        for (unsigned I = 0; I < N; ++I)
-          In[I] |= Out[It->second][I];
-      }
-      return In;
-    };
-    bool Changed = true;
-    while (Changed) {
-      Changed = false;
-      for (size_t BI = 0; BI < B; ++BI) {
-        std::vector<uint8_t> Stale = InOf(BI);
-        for (size_t SI = 0, SE = RPO[BI]->size(); SI != SE; ++SI)
-          Transfer(*RPO[BI]->stmt(SI), Stale, /*Report=*/false, RPO[BI]);
-        if (Stale != Out[BI]) {
-          Out[BI] = std::move(Stale);
-          Changed = true;
-        }
-      }
-    }
-    for (size_t BI = 0; BI < B; ++BI) {
-      std::vector<uint8_t> Stale = InOf(BI);
-      for (size_t SI = 0, SE = RPO[BI]->size(); SI != SE; ++SI)
-        Transfer(*RPO[BI]->stmt(SI), Stale, /*Report=*/true, RPO[BI]);
-    }
+    });
   }
 
   //===--------------------------------------------------------------===//
   // W1: ALAT capacity pressure
   //===--------------------------------------------------------------===//
 
-  void transferLive(const Stmt &S, std::vector<uint8_t> &Live) {
+  void transferLive(const Stmt &S, State &Live) {
     switch (S.Kind) {
     case StmtKind::Load:
       if (isAdvancedFlag(S.Flag)) {
@@ -559,73 +500,45 @@ private:
   }
 
   unsigned runCapacity() {
-    const size_t B = RPO.size();
-    std::vector<std::vector<uint8_t>> Out(B, std::vector<uint8_t>(N, 0));
-    auto InOf = [&](size_t BI) {
-      std::vector<uint8_t> In(N, 0);
-      for (const BasicBlock *P : RPO[BI]->preds()) {
-        auto It = RpoIndex.find(P);
-        if (It == RpoIndex.end())
-          continue;
-        for (unsigned I = 0; I < N; ++I)
-          In[I] |= Out[It->second][I];
-      }
-      return In;
-    };
-    bool Changed = true;
-    while (Changed) {
-      Changed = false;
-      for (size_t BI = 0; BI < B; ++BI) {
-        std::vector<uint8_t> Live = InOf(BI);
-        for (size_t SI = 0, SE = RPO[BI]->size(); SI != SE; ++SI)
-          transferLive(*RPO[BI]->stmt(SI), Live);
-        if (Live != Out[BI]) {
-          Out[BI] = std::move(Live);
-          Changed = true;
-        }
-      }
-    }
     unsigned Peak = 0;
     bool Warned = false;
-    for (size_t BI = 0; BI < B; ++BI) {
-      std::vector<uint8_t> Live = InOf(BI);
-      for (size_t SI = 0, SE = RPO[BI]->size(); SI != SE; ++SI) {
-        const Stmt &S = *RPO[BI]->stmt(SI);
-        transferLive(S, Live);
-        unsigned Count = 0;
-        for (unsigned I = 0; I < N; ++I)
-          Count += Live[I];
-        if (S.Kind == StmtKind::Call && S.Callee) {
-          auto It = CalleePeak.find(S.Callee);
-          if (It != CalleePeak.end())
-            Count += It->second;
-        }
-        Peak = std::max(Peak, Count);
-        if (Config.CheckCapacity && Count > Config.AlatEntries && !Warned) {
-          Warned = true;
-          emit(SpecDiagKind::OverCapacity, SpecDiagSeverity::Warning,
-               RPO[BI], &S,
-               formatString(
-                   "%u ALAT entries may be live here but the table holds "
-                   "%u; capacity evictions make some checks miss on every "
-                   "execution reaching this point",
-                   Count, Config.AlatEntries));
-        }
+    solveForward(0, 0, 0, Meet::Union, [&](const Stmt &S, State &Live,
+                                           bool Report,
+                                           const BasicBlock *BB) {
+      transferLive(S, Live);
+      if (!Report)
+        return;
+      unsigned Count = 0;
+      for (unsigned I = 0; I < N; ++I)
+        Count += Live[I];
+      if (S.Kind == StmtKind::Call && S.Callee)
+        Count += CalleePeak[S.Callee->index()];
+      Peak = std::max(Peak, Count);
+      if (Count > Config.AlatEntries && !Warned) {
+        Warned = true;
+        emit(SpecDiagKind::OverCapacity, SpecDiagSeverity::Warning, BB, &S,
+             formatString(
+                 "%u ALAT entries may be live here but the table holds "
+                 "%u; capacity evictions make some checks miss on every "
+                 "execution reaching this point",
+                 Count, Config.AlatEntries));
       }
-    }
+    });
     return Peak;
   }
 
   const Function &F;
   const SpecVerifyConfig &Config;
-  const std::map<const Function *, unsigned> &CalleePeak;
+  const std::vector<unsigned> &CalleePeak;
   std::vector<SpecDiag> &Diags;
 
   std::vector<const BasicBlock *> RPO;
-  std::map<const BasicBlock *, size_t> RpoIndex;
-  std::unordered_map<unsigned, unsigned> Index; ///< Temp id -> dense index.
-  std::vector<unsigned> TempIds;                ///< Dense index -> temp id.
-  unsigned N = 0;
+  std::vector<unsigned> RpoIndex; ///< Block id -> RPO position.
+  std::vector<unsigned> Index;    ///< Temp id -> dense index.
+  unsigned N = 0;                 ///< Number of tracked temps.
+  /// OUT state of every reachable block, [RPO position * N + dense
+  /// index], and the IN state solveForward is stepping.
+  State Out, In;
 };
 
 /// Verifies functions bottom-up over the call graph so each call site can
@@ -635,7 +548,8 @@ private:
 class ModuleChecker {
 public:
   ModuleChecker(const Module &M, const SpecVerifyConfig &Config)
-      : M(M), Config(Config) {}
+      : M(M), Config(Config), Peaks(M.numFunctions(), 0),
+        Visited(M.numFunctions(), 0) {}
 
   std::vector<SpecDiag> run() {
     for (unsigned I = 0; I < M.numFunctions(); ++I)
@@ -645,9 +559,9 @@ public:
 
 private:
   void visit(const Function *F) {
-    if (Done.count(F) || InProgress.count(F))
+    if (Visited[F->index()])
       return;
-    InProgress.insert(F);
+    Visited[F->index()] = 1;
     for (unsigned BI = 0; BI < F->numBlocks(); ++BI) {
       const BasicBlock *BB = F->block(BI);
       for (size_t SI = 0, SE = BB->size(); SI != SE; ++SI) {
@@ -656,17 +570,15 @@ private:
           visit(S.Callee);
       }
     }
-    InProgress.erase(F);
     FunctionChecker FC(*F, Config, Peaks, Diags);
-    Peaks[F] = FC.run();
-    Done.insert(F);
+    Peaks[F->index()] = FC.run();
   }
 
   const Module &M;
   const SpecVerifyConfig &Config;
   std::vector<SpecDiag> Diags;
-  std::map<const Function *, unsigned> Peaks;
-  std::set<const Function *> Done, InProgress;
+  std::vector<unsigned> Peaks;  ///< By Function::index().
+  std::vector<char> Visited;    ///< By Function::index(); set on entry.
 };
 
 } // namespace

@@ -92,9 +92,6 @@ struct SpecVerifyConfig {
   /// Enables E4 (stale saved addresses). Pass the same analysis the
   /// promoter used so the verdicts agree on what may alias.
   const alias::AliasAnalysis *AA = nullptr;
-  /// Disables the W1 capacity lint (e.g. for geometry-ablation benches
-  /// that shrink the table on purpose).
-  bool CheckCapacity = true;
 };
 
 /// Verifies every function of \p M; returns all findings (empty when the

@@ -106,23 +106,10 @@ private:
       // stores touch memory.
       unsigned NumBlocks = F.numBlocks();
       Reachable.assign(NumBlocks, 0);
-      std::vector<BasicBlock *> Postorder;
-      std::vector<std::pair<BasicBlock *, size_t>> Stack{{F.entry(), 0}};
-      Reachable[F.entry()->getId()] = 1;
-      while (!Stack.empty()) {
-        auto &[BB, Next] = Stack.back();
-        if (Next < BB->succs().size()) {
-          BasicBlock *Succ = BB->succs()[Next++];
-          if (!Reachable[Succ->getId()]) {
-            Reachable[Succ->getId()] = 1;
-            Stack.push_back({Succ, 0});
-          }
-          continue;
-        }
-        Postorder.push_back(BB);
-        Stack.pop_back();
+      for (const BasicBlock *BB : reversePostorder(F)) {
+        Reachable[BB->getId()] = 1;
+        Order.push_back(F.block(BB->getId()));
       }
-      Order.assign(Postorder.rbegin(), Postorder.rend());
       for (unsigned BI = 0; BI != NumBlocks; ++BI)
         if (!Reachable[BI])
           Order.push_back(F.block(BI));
@@ -406,7 +393,6 @@ private:
     bool Changed = true;
     while (Changed) {
       Changed = false;
-      ++TF.Iterations;
       for (const std::unique_ptr<FunctionState> &FS : Funcs)
         Changed |= solveFunction(*FS);
       // Summaries feeding call sites change temp states too, so one more
@@ -466,10 +452,6 @@ Shadow TaintFlow::tempShadow(const ir::Function *F, unsigned Temp) const {
   if (It == TempShadows.end() || Temp >= It->second.size())
     return Shadow();
   return It->second[Temp];
-}
-
-Shadow TaintFlow::symbolShadow(const ir::Symbol *Sym) const {
-  return Sym && Sym->Id < SymShadow.size() ? SymShadow[Sym->Id] : Shadow();
 }
 
 uint64_t TaintFlow::siteBitOf(const ir::Stmt *S) const {

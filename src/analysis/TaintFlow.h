@@ -117,9 +117,6 @@ public:
   /// is the weakest claim that holds somewhere).
   interp::Shadow tempShadow(const ir::Function *F, unsigned Temp) const;
 
-  /// Fixpoint memory shadow of a symbol's content.
-  interp::Shadow symbolShadow(const ir::Symbol *Sym) const;
-
   /// Site bit of an advanced-load statement (0 for anything else).
   uint64_t siteBitOf(const ir::Stmt *S) const;
 
@@ -130,9 +127,6 @@ public:
   /// alias facts in witnesses match the verdicts).
   const alias::AliasAnalysis &aliasAnalysis() const { return *AA; }
 
-  /// Fixpoint iterations the module solve took (observability).
-  unsigned iterations() const { return Iterations; }
-
   TaintFlow(const TaintFlow &) = delete;
   TaintFlow &operator=(const TaintFlow &) = delete;
 
@@ -140,7 +134,6 @@ private:
   friend class TaintSolver;
 
   bool AnySecret = false;
-  unsigned Iterations = 0;
   std::vector<TaintDiag> Diags;
   /// Memory shadow per symbol id, plus the wild fallback.
   std::vector<interp::Shadow> SymShadow;
@@ -151,11 +144,6 @@ private:
   const alias::AliasAnalysis *AA = nullptr;
   std::unique_ptr<const alias::AliasAnalysis> OwnedAA;
 };
-
-/// True if any diagnostic is present (all taint findings are errors).
-inline bool hasTaintErrors(const std::vector<TaintDiag> &Diags) {
-  return !Diags.empty();
-}
 
 } // namespace srp::analysis
 

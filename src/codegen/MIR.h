@@ -111,12 +111,6 @@ enum class MOp : uint8_t {
 /// Returns the assembly mnemonic.
 const char *mopName(MOp Op);
 
-/// Returns true for the ld/ld.a/ld.sa family (real loads; checking loads
-/// only count when they miss).
-inline bool isRealLoad(MOp Op) {
-  return Op == MOp::Ld || Op == MOp::LdA || Op == MOp::LdSA;
-}
-
 inline bool isCheckLoad(MOp Op) {
   return Op == MOp::LdCClr || Op == MOp::LdCNc;
 }
@@ -224,9 +218,6 @@ public:
   /// Frame slot assignment (negative FP-relative offsets).
   int64_t frameOffsetOf(const ir::Symbol *Sym) const {
     return SlotOffsets.at(Sym);
-  }
-  bool hasSlot(const ir::Symbol *Sym) const {
-    return SlotOffsets.count(Sym) != 0;
   }
   void assignSlot(const ir::Symbol *Sym, int64_t Offset) {
     SlotOffsets[Sym] = Offset;

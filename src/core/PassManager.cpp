@@ -31,12 +31,13 @@ bool PassManager::run(PipelineState &S, const PassCallback &AfterPass) {
     if (std::find(Disabled.begin(), Disabled.end(), P->name()) !=
         Disabled.end())
       continue;
-    uint64_t Micros = 0;
+    uint64_t Nanos = 0;
     bool Ok;
     {
-      ScopedTimer T(Micros);
+      ScopedTimer T(Nanos);
       Ok = P->run(S);
     }
+    uint64_t Micros = Nanos / 1000;
     S.Result.Timings.push_back({std::string(P->name()), Micros});
     StatsRegistry::current().add("pass." + std::string(P->name()) + ".us",
                              Micros);

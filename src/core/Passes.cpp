@@ -171,8 +171,6 @@ public:
     return "static speculation-safety verification";
   }
   bool run(PipelineState &S) override {
-    if (S.Config.SpecVerify == SpecVerifyMode::Off)
-      return true;
     ir::Module &M = S.module();
     // The promoter's analysis is reused when available (promotion adds no
     // memory objects, so the verdicts agree); with the promote pass
@@ -207,8 +205,6 @@ public:
     return "speculative secret-taint dataflow";
   }
   bool run(PipelineState &S) override {
-    if (S.Config.TaintCheck == SpecVerifyMode::Off)
-      return true;
     ir::Module &M = S.module();
     bool AnySecret = false;
     for (unsigned I = 0, E = M.numSymbols(); I != E; ++I)

@@ -51,7 +51,7 @@ struct Workload {
 /// additionally fails the pipeline on any error-severity finding (tests
 /// run Fatal; benches keep Warn so geometry ablations that provoke the
 /// capacity lint still measure).
-enum class SpecVerifyMode : uint8_t { Off, Warn, Fatal };
+enum class SpecVerifyMode : uint8_t { Warn, Fatal };
 
 /// Everything the pipeline can be configured with.
 struct PipelineConfig {
@@ -85,11 +85,11 @@ struct PipelineResult {
   pre::PromotionStats Promotion;     ///< What the compiler did.
   codegen::RegAllocStats RegAlloc;
   unsigned MaxStackedRegs = 0;       ///< Largest register-stack frame.
-  /// SpecVerifier findings on the promoted IR (empty when SpecVerify is
-  /// Off or the discipline holds).
+  /// SpecVerifier findings on the promoted IR (empty when the discipline
+  /// holds).
   std::vector<analysis::SpecDiag> SpecDiags;
-  /// TaintFlow findings on the promoted IR (empty when TaintCheck is Off
-  /// or no speculative secret reaches a sink).
+  /// TaintFlow findings on the promoted IR (empty when no speculative
+  /// secret reaches a sink).
   std::vector<analysis::TaintDiag> TaintDiags;
   /// Wall time of each pass that ran, in run order (--timing reporting).
   /// Not a counter: timings vary run to run, so determinism comparisons

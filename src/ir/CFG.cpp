@@ -4,6 +4,7 @@
 
 #include "support/Error.h"
 
+#include <algorithm>
 #include <cassert>
 
 using namespace srp;
@@ -102,6 +103,31 @@ void Function::recomputeCFG() {
     for (BasicBlock *Succ : BB->Succs)
       Succ->Preds.push_back(BB);
   }
+}
+
+std::vector<const BasicBlock *> srp::ir::reversePostorder(const Function &F) {
+  std::vector<const BasicBlock *> Order;
+  if (F.numBlocks() == 0)
+    return Order;
+  // Iterative DFS from the entry collecting postorder, reversed at the end.
+  std::vector<char> Seen(F.numBlocks(), 0);
+  std::vector<std::pair<const BasicBlock *, size_t>> Stack{{F.entry(), 0}};
+  Seen[F.entry()->getId()] = 1;
+  while (!Stack.empty()) {
+    auto &[BB, Next] = Stack.back();
+    if (Next < BB->succs().size()) {
+      const BasicBlock *Succ = BB->succs()[Next++];
+      if (!Seen[Succ->getId()]) {
+        Seen[Succ->getId()] = 1;
+        Stack.push_back({Succ, 0});
+      }
+      continue;
+    }
+    Order.push_back(BB);
+    Stack.pop_back();
+  }
+  std::reverse(Order.begin(), Order.end());
+  return Order;
 }
 
 //===----------------------------------------------------------------------===//

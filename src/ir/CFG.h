@@ -147,6 +147,12 @@ private:
   unsigned NextStmtId = 0;
 };
 
+/// The blocks reachable from \p F's entry, in reverse postorder of a
+/// depth-first walk over succs() (entry first; every block precedes its
+/// successors except along back edges). Needs up-to-date CFG edges
+/// (Function::recomputeCFG); empty for a function without blocks.
+std::vector<const BasicBlock *> reversePostorder(const Function &F);
+
 /// A whole program: globals, heap-site names and functions. The function
 /// named "main" is the entry point for the interpreter and the simulator.
 class Module {

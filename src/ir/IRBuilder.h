@@ -37,7 +37,6 @@ public:
     return F;
   }
 
-  void setFunction(Function *Fn) { F = Fn; }
   void setBlock(BasicBlock *Block) { BB = Block; }
 
   BasicBlock *createBlock(std::string Name) {

@@ -66,9 +66,6 @@ struct Operand {
 
   bool isNone() const { return K == Kind::None; }
   bool isTemp() const { return K == Kind::Temp; }
-  bool isConst() const {
-    return K == Kind::ConstInt || K == Kind::ConstFloat;
-  }
 
   unsigned getTemp() const {
     assert(isTemp() && "not a temp operand");
@@ -145,14 +142,6 @@ inline MemRef indirectRef(Symbol *Sym, TypeKind ValueType,
   Ref.Depth = 1;
   Ref.Offset = Offset;
   Ref.ValueType = ValueType;
-  return Ref;
-}
-
-/// Returns `Sym[Index]` where Sym holds a pointer (p[i] style).
-inline MemRef indirectIndexRef(Symbol *Sym, Operand Index,
-                               TypeKind ValueType) {
-  MemRef Ref = indirectRef(Sym, ValueType);
-  Ref.Index = Index;
   return Ref;
 }
 

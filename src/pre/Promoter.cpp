@@ -82,14 +82,14 @@ namespace {
 /// `--stats` shows where promotion time goes across a whole run.
 void recordStageTimes(const StageTimings &T) {
   StatsRegistry &R = StatsRegistry::current();
-  R.add("pre.hssa.us", T.HSSA);
-  R.add("pre.phiinsertion.us", T.PhiInsertion);
-  R.add("pre.rename.us", T.Rename);
-  R.add("pre.downsafety.us", T.DownSafety);
-  R.add("pre.willbeavail.us", T.WillBeAvail);
-  R.add("pre.codemotion.us", T.CodeMotion);
-  R.add("pre.apply.us", T.Apply);
-  R.add("pre.cleanup.us", T.Cleanup);
+  R.add("pre.hssa.us", T.HSSA / 1000);
+  R.add("pre.phiinsertion.us", T.PhiInsertion / 1000);
+  R.add("pre.rename.us", T.Rename / 1000);
+  R.add("pre.downsafety.us", T.DownSafety / 1000);
+  R.add("pre.willbeavail.us", T.WillBeAvail / 1000);
+  R.add("pre.codemotion.us", T.CodeMotion / 1000);
+  R.add("pre.apply.us", T.Apply / 1000);
+  R.add("pre.cleanup.us", T.Cleanup / 1000);
 }
 
 } // namespace

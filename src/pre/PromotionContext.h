@@ -229,8 +229,8 @@ struct ExprWork {
   std::vector<std::pair<unsigned, unsigned>> BlockOccs;
 };
 
-/// Wall time spent per stage (microseconds), recorded by the orchestrator
-/// into StatsRegistry under "pre.<stage>.us".
+/// Wall time spent per stage (nanoseconds), recorded by the orchestrator
+/// into StatsRegistry under "pre.<stage>.us" in microseconds.
 struct StageTimings {
   uint64_t HSSA = 0; ///< building the PromotionContext's HSSA form
   uint64_t PhiInsertion = 0;

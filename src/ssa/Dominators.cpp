@@ -13,36 +13,13 @@ using namespace srp::ir;
 using namespace srp::ssa;
 
 DominatorTree::DominatorTree(ir::Function &F) : F(F) {
-  computeRpo();
+  RpoNumber.assign(F.numBlocks(), ~0u);
+  for (const BasicBlock *BB : reversePostorder(F)) {
+    RpoNumber[BB->getId()] = static_cast<unsigned>(Rpo.size());
+    Rpo.push_back(F.block(BB->getId()));
+  }
   computeIdom();
   computeFrontiers();
-}
-
-void DominatorTree::computeRpo() {
-  unsigned N = F.numBlocks();
-  RpoNumber.assign(N, ~0u);
-  std::vector<ir::BasicBlock *> Postorder;
-  std::vector<char> Visited(N, 0);
-  // Iterative DFS producing postorder.
-  std::vector<std::pair<BasicBlock *, size_t>> Stack;
-  Stack.push_back({F.entry(), 0});
-  Visited[F.entry()->getId()] = 1;
-  while (!Stack.empty()) {
-    auto &[BB, Next] = Stack.back();
-    if (Next < BB->succs().size()) {
-      BasicBlock *Succ = BB->succs()[Next++];
-      if (!Visited[Succ->getId()]) {
-        Visited[Succ->getId()] = 1;
-        Stack.push_back({Succ, 0});
-      }
-      continue;
-    }
-    Postorder.push_back(BB);
-    Stack.pop_back();
-  }
-  Rpo.assign(Postorder.rbegin(), Postorder.rend());
-  for (unsigned I = 0; I < Rpo.size(); ++I)
-    RpoNumber[Rpo[I]->getId()] = I;
 }
 
 void DominatorTree::computeIdom() {

@@ -62,7 +62,6 @@ public:
   iteratedFrontier(const std::vector<ir::BasicBlock *> &Defs) const;
 
 private:
-  void computeRpo();
   void computeIdom();
   void computeFrontiers();
 

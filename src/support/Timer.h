@@ -7,10 +7,12 @@
 /// \file
 /// Scoped wall-clock timing for passes and promotion stages. A Timer is a
 /// plain stopwatch over std::chrono::steady_clock; ScopedTimer accumulates
-/// the elapsed time of its scope into a caller-owned microsecond counter,
+/// the elapsed time of its scope into a caller-owned nanosecond counter,
 /// which is how the pass manager and the promotion stages attribute time
 /// without any global state (the process-wide aggregation happens in
-/// StatsRegistry, see Stats.h).
+/// StatsRegistry, see Stats.h). Counters stay in nanoseconds until they
+/// are published, so many short scopes do not each round down to zero
+/// microseconds.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -30,10 +32,10 @@ public:
   /// Restarts the stopwatch.
   void reset() { Start = std::chrono::steady_clock::now(); }
 
-  /// Microseconds elapsed since construction or the last reset().
-  uint64_t elapsedMicros() const {
+  /// Nanoseconds elapsed since construction or the last reset().
+  uint64_t elapsedNanos() const {
     return static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::steady_clock::now() - Start)
             .count());
   }
@@ -42,14 +44,14 @@ private:
   std::chrono::steady_clock::time_point Start;
 };
 
-/// Adds the wall time of its scope to \p Counter (microseconds) on
+/// Adds the wall time of its scope to \p Counter (nanoseconds) on
 /// destruction.
 class ScopedTimer {
 public:
   explicit ScopedTimer(uint64_t &Counter) : Counter(Counter) {}
   ScopedTimer(const ScopedTimer &) = delete;
   ScopedTimer &operator=(const ScopedTimer &) = delete;
-  ~ScopedTimer() { Counter += T.elapsedMicros(); }
+  ~ScopedTimer() { Counter += T.elapsedNanos(); }
 
 private:
   uint64_t &Counter;

@@ -91,6 +91,56 @@ TEST(CFGTest, CondBrSameTargetSingleEdge) {
   EXPECT_EQ(Next->preds().size(), 1u);
 }
 
+TEST(CFGTest, ReversePostorderOfDiamondLoopAndDeadBlock) {
+  Module M;
+  IRBuilder B(M);
+  Function *F = B.startFunction("main");
+  unsigned C = B.emitAssign(Opcode::Copy, Operand::constInt(1));
+  BasicBlock *Then = B.createBlock("then");
+  BasicBlock *Else = B.createBlock("else");
+  BasicBlock *Dead = B.createBlock("dead");
+  BasicBlock *Join = B.createBlock("join");
+  BasicBlock *Header = B.createBlock("header");
+  BasicBlock *Latch = B.createBlock("latch");
+  BasicBlock *Exit = B.createBlock("exit");
+  B.setCondBr(Operand::temp(C), Then, Else);
+  B.setBlock(Then);
+  B.setBr(Join);
+  B.setBlock(Else);
+  B.setBr(Join);
+  B.setBlock(Dead); // no predecessor, but an edge into the diamond
+  B.setBr(Join);
+  B.setBlock(Join);
+  B.setBr(Header);
+  B.setBlock(Header);
+  B.setCondBr(Operand::temp(C), Latch, Exit);
+  B.setBlock(Latch);
+  B.setBr(Header);
+  B.setBlock(Exit);
+  B.setRet();
+  F->recomputeCFG();
+
+  std::vector<const BasicBlock *> Order = reversePostorder(*F);
+  ASSERT_FALSE(Order.empty());
+  EXPECT_EQ(Order.front(), F->entry());
+  std::vector<int> Pos(F->numBlocks(), -1);
+  for (size_t I = 0; I < Order.size(); ++I) {
+    EXPECT_EQ(Pos[Order[I]->getId()], -1) << Order[I]->getName();
+    Pos[Order[I]->getId()] = static_cast<int>(I);
+  }
+  EXPECT_EQ(Pos[Dead->getId()], -1);
+  EXPECT_EQ(Order.size(), F->numBlocks() - 1u);
+  // Every edge but the loop's back edge points forward in the order.
+  for (const BasicBlock *BB : Order)
+    for (const BasicBlock *Succ : BB->succs()) {
+      if (BB != Latch || Succ != Header) {
+        EXPECT_LT(Pos[BB->getId()], Pos[Succ->getId()])
+            << BB->getName() << " -> " << Succ->getName();
+      }
+    }
+  EXPECT_GT(Pos[Latch->getId()], Pos[Header->getId()]);
+}
+
 TEST(CFGTest, InsertBeforeAndErase) {
   Module M;
   Symbol *A = M.createGlobal("a", TypeKind::Int);

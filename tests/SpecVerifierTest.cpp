@@ -299,9 +299,77 @@ TEST(SpecVerifierNegative, OverCapacityRegion) {
   SpecVerifyConfig Fits;
   Fits.AlatEntries = 5;
   EXPECT_TRUE(verifySpeculation(M, Fits).empty());
+}
 
-  Small.CheckCapacity = false; // the bench escape hatch
-  EXPECT_TRUE(verifySpeculation(M, Small).empty());
+/// Builds main as entry -> header -> {body -> latch -> header, exit}, with
+/// \p Entry, \p Body and \p Latch filling those blocks. The header has no
+/// statements, and the first RPO sweep visits it before the latch, so
+/// what the latch does reaches the body only on a later sweep.
+template <typename EntryFn, typename BodyFn, typename LatchFn>
+void buildLoop(Module &M, EntryFn Entry, BodyFn Body, LatchFn Latch) {
+  IRBuilder B(M);
+  B.startFunction("main");
+  Entry(B);
+  unsigned TC = B.emitAssign(Opcode::Copy, Operand::constInt(0));
+  BasicBlock *Header = B.createBlock("header");
+  BasicBlock *BodyBB = B.createBlock("body");
+  BasicBlock *LatchBB = B.createBlock("latch");
+  BasicBlock *Exit = B.createBlock("exit");
+  B.setBr(Header);
+  B.setBlock(Header);
+  B.setCondBr(Operand::temp(TC), BodyBB, Exit);
+  B.setBlock(BodyBB);
+  Body(B);
+  B.setBr(LatchBB);
+  B.setBlock(LatchBB);
+  Latch(B);
+  B.setBr(Header);
+  B.setBlock(Exit);
+  finish(B);
+}
+
+TEST(SpecVerifierNegative, ClobberAroundLoopBackEdge) {
+  Module M;
+  Symbol *G = M.createGlobal("g", TypeKind::Int);
+  unsigned T0 = NoTemp;
+  buildLoop(
+      M, [&](IRBuilder &B) { T0 = B.emitLoad(directRef(G), SpecFlag::LdA); },
+      [&](IRBuilder &B) {
+        appendCheck(B, T0, directRef(G), SpecFlag::LdCnc);
+      },
+      [&](IRBuilder &B) {
+        Stmt S; // unflagged redefinition, seen by the next iteration
+        S.Kind = StmtKind::Assign;
+        S.Op = Opcode::Copy;
+        S.Dst = T0;
+        S.A = Operand::constInt(42);
+        B.block()->append(std::move(S));
+      });
+
+  auto Diags = verifySpeculation(M);
+  ASSERT_EQ(Diags.size(), 1u) << dump(Diags);
+  EXPECT_EQ(Diags[0].Kind, SpecDiagKind::ClobberedRegister);
+  EXPECT_EQ(Diags[0].BlockName, "body");
+  EXPECT_NE(Diags[0].StmtText.find("ld.c.nc"), std::string::npos)
+      << Diags[0].StmtText;
+}
+
+TEST(SpecVerifierNegative, OverCapacityAroundLoopBackEdge) {
+  Module M;
+  Symbol *G = M.createGlobal("g", TypeKind::Int);
+  Symbol *H = M.createGlobal("h", TypeKind::Int);
+  buildLoop(
+      M, [&](IRBuilder &B) { B.emitLoad(directRef(G), SpecFlag::LdA); },
+      [&](IRBuilder &B) { B.emitPrint(Operand::constInt(1)); },
+      // Armed here, still live in the body on the next iteration.
+      [&](IRBuilder &B) { B.emitLoad(directRef(H), SpecFlag::LdA); });
+
+  SpecVerifyConfig One;
+  One.AlatEntries = 1;
+  auto Diags = verifySpeculation(M, One);
+  ASSERT_EQ(Diags.size(), 1u) << dump(Diags);
+  EXPECT_EQ(Diags[0].Kind, SpecDiagKind::OverCapacity);
+  EXPECT_EQ(Diags[0].BlockName, "body");
 }
 
 /// Diagnostics must carry the .sir line of the offending statement

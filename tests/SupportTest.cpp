@@ -6,6 +6,7 @@
 #include "support/RNG.h"
 #include "support/Stats.h"
 #include "support/StringUtils.h"
+#include "support/Timer.h"
 
 #include <gtest/gtest.h>
 
@@ -262,6 +263,17 @@ TEST(StatsCaptureTest, ThreadsHaveIndependentEpochs) {
   }).join();
   EXPECT_EQ(Capture.captured().value("test.capture.other-thread"), 0u);
   EXPECT_GE(StatsRegistry::get().value("test.capture.other-thread"), 5u);
+}
+
+// A scope shorter than a microsecond must still count: the promotion
+// stages open one scope per expression, and rounding each scope to whole
+// microseconds would make those stage totals read 0.
+TEST(TimerTest, ShortScopesAddUp) {
+  uint64_t Nanos = 0;
+  for (int I = 0; I < 10000; ++I) {
+    ScopedTimer T(Nanos);
+  }
+  EXPECT_GT(Nanos / 1000, 0u);
 }
 
 TEST(RNGTest, NextDoubleUnitInterval) {

@@ -168,22 +168,22 @@ int main(int Argc, char **Argv) {
   for (unsigned R = 0; R < Opts.Repeat; ++R) {
     core::ExperimentOptions Serial;
     Serial.Threads = 1;
-    uint64_t Us = 0;
+    uint64_t Ns = 0;
     {
-      ScopedTimer T(Us);
+      ScopedTimer T(Ns);
       Last = core::runExperiments(Exps, Serial);
     }
-    G.WallJ1.push_back(Us);
+    G.WallJ1.push_back(Ns / 1000);
     accumulate(Last, G);
 
     core::ExperimentOptions Parallel;
     Parallel.Threads = Opts.Threads;
-    Us = 0;
+    Ns = 0;
     {
-      ScopedTimer T(Us);
+      ScopedTimer T(Ns);
       Last = core::runExperiments(Exps, Parallel);
     }
-    G.WallJN.push_back(Us);
+    G.WallJN.push_back(Ns / 1000);
     accumulate(Last, G);
   }
   fingerprint(Last, G);

@@ -518,12 +518,13 @@ int main(int Argc, char **Argv) {
   // pipelines before this one). The capture merges into the global
   // registry when it dies, so process totals still add up.
   ScopedStatsCapture Capture;
-  uint64_t WallUs = 0;
+  uint64_t WallNs = 0;
   bool Ok;
   {
-    ScopedTimer Wall(WallUs);
+    ScopedTimer Wall(WallNs);
     Ok = PM.run(S, AfterPass);
   }
+  const uint64_t WallUs = WallNs / 1000;
 
   auto ReportObservability = [&Opts, &S, &M, WallUs, &Capture] {
     // Live arenas haven't published yet (stats normally post at arena
