@@ -3,13 +3,15 @@
 // The determinism contract of core::runExperiments: a pipeline run is a
 // pure function of (workload, config), so the counters coming back must
 // be byte-identical for any thread count. PipelineResult::Timings is
-// wall-clock and explicitly excluded (see core/Pipeline.h).
+// wall-clock and explicitly excluded (see core/Pipeline.h). The paper
+// grid's summed counters are pinned to their recorded values.
 //
 //===----------------------------------------------------------------------===//
 
 #include "core/Experiment.h"
 
 #include "ir/IRBuilder.h"
+#include "support/StringUtils.h"
 #include "workloads/LoopHelper.h"
 #include "workloads/Workloads.h"
 
@@ -149,6 +151,37 @@ TEST(ExperimentTest, CachedProfilesMatchUncachedPipelines) {
     EXPECT_TRUE(Cached[I].Ok) << Cached[I].Error;
     expectIdentical(Cached[I], runPipeline(*Exps[I].W, Exps[I].Config));
   }
+}
+
+// The 30-pipeline grid's summed counters as BENCH_pipeline.json records
+// them: cycles / instructions / retired loads | promoted exprs - loads
+// removed - checks. Any drift changes what the reproduction measures.
+TEST(ExperimentTest, GridFingerprintIsPinned) {
+  std::vector<Workload> Ws = workloads::standardWorkloads();
+  std::vector<Experiment> Exps;
+  for (const Workload &W : Ws)
+    for (Experiment &E : grid(W))
+      Exps.push_back(std::move(E));
+  ASSERT_EQ(Exps.size(), 30u);
+  ExperimentOptions Opts;
+  Opts.Threads = 4;
+  uint64_t Cycles = 0, Instructions = 0, Loads = 0;
+  unsigned Exprs = 0, LoadsRemoved = 0, Checks = 0;
+  for (const PipelineResult &R : runExperiments(Exps, Opts)) {
+    EXPECT_TRUE(R.Ok) << R.Error;
+    Cycles += R.Sim.Counters.Cycles;
+    Instructions += R.Sim.Counters.Instructions;
+    Loads += R.Sim.Counters.RetiredLoads;
+    Exprs += R.Promotion.PromotedExprs;
+    LoadsRemoved += R.Promotion.loadsRemoved();
+    Checks += R.Promotion.ChecksInserted + R.Promotion.CascadeChecks;
+  }
+  EXPECT_EQ(formatString("%llu/%llu/%llu|%u-%u-%u",
+                         (unsigned long long)Cycles,
+                         (unsigned long long)Instructions,
+                         (unsigned long long)Loads, Exprs, LoadsRemoved,
+                         Checks),
+            "3701473/5465971/1277609|122-275-23");
 }
 
 TEST(ExperimentTest, ResultsComeBackInInputOrder) {
