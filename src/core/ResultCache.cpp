@@ -2,100 +2,66 @@
 
 #include "core/ResultCache.h"
 
-#include "support/Hash.h"
 #include "support/Stats.h"
-
-#include <algorithm>
 
 using namespace srp;
 using namespace srp::core;
 
-ResultCache::ResultCache(const ResultCacheConfig &Config) {
-  unsigned NumShards = std::max(1u, Config.Shards);
-  ShardBudget = std::max<size_t>(1, Config.ByteBudget / NumShards);
-  Shards.reserve(NumShards);
-  for (unsigned I = 0; I < NumShards; ++I)
-    Shards.push_back(std::make_unique<Shard>());
-}
-
-ResultCache::Shard &ResultCache::shardFor(std::string_view Key) {
-  return *Shards[fnv1a64(Key) % Shards.size()];
-}
-
 std::optional<std::string> ResultCache::lookup(std::string_view Key) {
-  Shard &S = shardFor(Key);
-  std::lock_guard<std::mutex> Lock(S.Mutex);
-  auto It = S.Index.find(Key);
-  if (It == S.Index.end()) {
-    ++S.Misses;
+  std::lock_guard<std::mutex> Lock(Mutex);
+  auto It = Index.find(Key);
+  if (It == Index.end()) {
+    ++Totals.Misses;
     StatsRegistry::current().add("serve.cache.misses", 1);
     return std::nullopt;
   }
   // Full-key equality is the map's own contract (string_view keys over
   // the stored Entry::Key), so a hash collision can only have put two
-  // entries in one shard — never returned the wrong one.
-  S.Lru.splice(S.Lru.begin(), S.Lru, It->second);
-  ++S.Hits;
+  // entries in one bucket — never returned the wrong one.
+  Lru.splice(Lru.begin(), Lru, It->second);
+  ++Totals.Hits;
   StatsRegistry::current().add("serve.cache.hits", 1);
   return It->second->Body;
 }
 
 void ResultCache::insert(std::string_view Key, std::string Body) {
-  Shard &S = shardFor(Key);
-  std::lock_guard<std::mutex> Lock(S.Mutex);
+  std::lock_guard<std::mutex> Lock(Mutex);
 
-  auto It = S.Index.find(Key);
-  if (It != S.Index.end()) {
-    S.Bytes -= It->second->bytes();
+  auto It = Index.find(Key);
+  if (It != Index.end()) {
+    Totals.Bytes -= It->second->bytes();
     It->second->Body = std::move(Body);
-    S.Bytes += It->second->bytes();
-    S.Lru.splice(S.Lru.begin(), S.Lru, It->second);
+    Totals.Bytes += It->second->bytes();
+    Lru.splice(Lru.begin(), Lru, It->second);
   } else {
-    if (Key.size() + Body.size() > ShardBudget) {
-      ++S.Uncacheable;
+    if (Key.size() + Body.size() > Budget) {
+      ++Totals.Uncacheable;
       StatsRegistry::current().add("serve.cache.uncacheable", 1);
       return;
     }
-    S.Lru.push_front(Entry{std::string(Key), std::move(Body)});
-    S.Bytes += S.Lru.front().bytes();
-    S.Index.emplace(std::string_view(S.Lru.front().Key), S.Lru.begin());
-    ++S.Insertions;
+    Lru.push_front(Entry{std::string(Key), std::move(Body)});
+    Totals.Bytes += Lru.front().bytes();
+    Index.emplace(std::string_view(Lru.front().Key), Lru.begin());
+    ++Totals.Insertions;
     StatsRegistry::current().add("serve.cache.insertions", 1);
   }
 
-  while (S.Bytes > ShardBudget && !S.Lru.empty()) {
+  while (Totals.Bytes > Budget && !Lru.empty()) {
     // Fresh inserts fit the budget alone (checked above), so eviction
     // stops before reaching the front; a replace that grew an entry past
     // the whole budget may evict everything, itself included.
-    Entry &Victim = S.Lru.back();
-    S.Bytes -= Victim.bytes();
-    S.Index.erase(std::string_view(Victim.Key));
-    S.Lru.pop_back();
-    ++S.Evictions;
+    Entry &Victim = Lru.back();
+    Totals.Bytes -= Victim.bytes();
+    Index.erase(std::string_view(Victim.Key));
+    Lru.pop_back();
+    ++Totals.Evictions;
     StatsRegistry::current().add("serve.cache.evictions", 1);
   }
 }
 
 ResultCache::Stats ResultCache::stats() const {
-  Stats Total;
-  for (const std::unique_ptr<Shard> &S : Shards) {
-    std::lock_guard<std::mutex> Lock(S->Mutex);
-    Total.Hits += S->Hits;
-    Total.Misses += S->Misses;
-    Total.Evictions += S->Evictions;
-    Total.Insertions += S->Insertions;
-    Total.Uncacheable += S->Uncacheable;
-    Total.Bytes += S->Bytes;
-    Total.Entries += S->Lru.size();
-  }
-  return Total;
-}
-
-void ResultCache::clear() {
-  for (const std::unique_ptr<Shard> &S : Shards) {
-    std::lock_guard<std::mutex> Lock(S->Mutex);
-    S->Index.clear();
-    S->Lru.clear();
-    S->Bytes = 0;
-  }
+  std::lock_guard<std::mutex> Lock(Mutex);
+  Stats S = Totals;
+  S.Entries = Lru.size();
+  return S;
 }

@@ -11,16 +11,14 @@
 /// PR-3 invariant the whole serve architecture stands on), so a cached
 /// body may be returned for any repeat request, byte for byte.
 ///
-/// Concurrency: the table is sharded by key hash with one mutex per
-/// shard, so concurrent requests touching different shards never
-/// contend. Each shard is an independent LRU list under a per-shard
-/// slice of the byte budget; an insert that would overflow its shard
-/// evicts least-recently-used entries first.
+/// Concurrency: one mutex guards one LRU list under one byte budget. A
+/// hit holds it for one hash lookup, one list splice and one body copy,
+/// too short to contend at the daemon's thread counts; an insert that
+/// would overflow the budget evicts least-recently-used entries first.
 ///
-/// Correctness under collision: the shard index comes from the key's
-/// FNV-1a hash, but entries are stored and compared by the *full* key
-/// string. Two canonicalized-but-distinct requests can therefore never
-/// alias — a hash collision only means two entries share a bucket.
+/// Correctness under collision: entries are stored and compared by the
+/// *full* key string, so two canonicalized-but-distinct requests can
+/// never alias — a hash collision only means two entries share a bucket.
 ///
 /// Counters (StatsRegistry::current()): serve.cache.hits / .misses /
 /// .evictions / .insertions / .uncacheable.
@@ -32,40 +30,35 @@
 
 #include <cstdint>
 #include <list>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
-#include <vector>
 
 namespace srp::core {
 
 struct ResultCacheConfig {
-  /// Shard count (rounded up to at least 1). 16 keeps per-shard mutex
-  /// contention negligible at the thread counts the daemon runs.
-  unsigned Shards = 16;
-  /// Total byte budget across all shards, counting keys and bodies.
-  /// Each shard enforces ByteBudget / Shards.
+  /// Byte budget, counting keys and bodies.
   size_t ByteBudget = 256u << 20;
 };
 
-/// Sharded, byte-budgeted, LRU result cache (see file comment). All
-/// public methods are thread-safe.
+/// Byte-budgeted LRU result cache (see file comment). All public methods
+/// are thread-safe.
 class ResultCache {
 public:
-  explicit ResultCache(const ResultCacheConfig &Config = {});
+  explicit ResultCache(const ResultCacheConfig &Config = {})
+      : Budget(Config.ByteBudget) {}
 
   /// The body stored for \p Key, refreshing its LRU position; nullopt on
   /// miss. Counts serve.cache.hits / serve.cache.misses.
   std::optional<std::string> lookup(std::string_view Key);
 
-  /// Stores \p Body under \p Key, evicting LRU entries of the shard as
-  /// needed. An entry bigger than a whole shard's budget is not cached
-  /// (counted serve.cache.uncacheable); re-inserting an existing key
-  /// replaces its body. Values are immutable once stored — the serve
-  /// path only ever inserts the deterministic result of a cold run.
+  /// Stores \p Body under \p Key, evicting LRU entries as needed. An
+  /// entry bigger than the whole budget is not cached (counted
+  /// serve.cache.uncacheable); re-inserting an existing key replaces its
+  /// body. Values are immutable once stored — the serve path only ever
+  /// inserts the deterministic result of a cold run.
   void insert(std::string_view Key, std::string Body);
 
   struct Stats {
@@ -74,13 +67,10 @@ public:
     uint64_t Evictions = 0;
     uint64_t Insertions = 0;
     uint64_t Uncacheable = 0;
-    size_t Bytes = 0;   ///< Resident key+body bytes, all shards.
-    size_t Entries = 0; ///< Resident entries, all shards.
+    size_t Bytes = 0;   ///< Resident key+body bytes.
+    size_t Entries = 0; ///< Resident entries.
   };
   Stats stats() const;
-
-  /// Drops every entry (counters keep their totals).
-  void clear();
 
 private:
   struct Entry {
@@ -88,22 +78,14 @@ private:
     std::string Body;
     size_t bytes() const { return Key.size() + Body.size(); }
   };
-  struct Shard {
-    std::mutex Mutex;
-    /// Front = most recently used.
-    std::list<Entry> Lru;
-    std::unordered_map<std::string_view, std::list<Entry>::iterator> Index;
-    size_t Bytes = 0;
-    uint64_t Hits = 0, Misses = 0, Evictions = 0, Insertions = 0,
-             Uncacheable = 0;
-  };
 
-  Shard &shardFor(std::string_view Key);
-
-  size_t ShardBudget;
-  /// unique_ptr: Shard holds a mutex and must not move when the vector
-  /// is built.
-  std::vector<std::unique_ptr<Shard>> Shards;
+  const size_t Budget;
+  mutable std::mutex Mutex;
+  /// Front = most recently used.
+  std::list<Entry> Lru;
+  std::unordered_map<std::string_view, std::list<Entry>::iterator> Index;
+  /// The counters and resident Bytes; Entries is Lru.size().
+  Stats Totals;
 };
 
 } // namespace srp::core

@@ -5,7 +5,6 @@
 #include "core/Experiment.h"
 #include "core/Pass.h"
 #include "ir/Fingerprint.h"
-#include "support/Hash.h"
 #include "ir/Parser.h"
 #include "ir/Verifier.h"
 #include "support/JSON.h"
@@ -16,9 +15,13 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <chrono>
 #include <cstring>
+#include <functional>
 #include <iterator>
+#include <list>
+#include <system_error>
 #include <thread>
 
 #include <arpa/inet.h>
@@ -228,16 +231,14 @@ bool promotionForStrategy(std::string_view Name, pre::PromotionConfig &Out) {
 /// A fully validated run request. CanonicalKey is the cache identity:
 /// a fixed-order rendering of everything the pipeline result depends
 /// on. For inline programs that includes the complete canonical module
-/// text — the fingerprint only routes to a shard, so two distinct
-/// canonicalized programs can never share a cache entry (DESIGN.md §8).
+/// text, so two distinct canonicalized programs can never share a cache
+/// entry (DESIGN.md §8).
 struct ServerCore::RunRequest {
   std::string IdJson = "null"; ///< Echoed request id, already JSON.
-  bool IsProgram = false;
-  std::string WorkloadName;
+  const Workload *W = nullptr; ///< The named workload; null for a program.
   uint64_t TrainScale = 0, RefScale = 0;
   std::string CanonicalProgram; ///< ir::canonicalModuleText of the input.
   PipelineConfig Config;
-  std::string ConfigKey;
   std::string CanonicalKey;
 };
 
@@ -259,16 +260,20 @@ bool takeUint(const JSONValue &V, uint64_t &Out) {
   return true;
 }
 
+/// \p O with Threads resolved: 0 means the hardware concurrency, and
+/// the count fits the slot semaphore.
+ServeOptions resolved(ServeOptions O) {
+  if (O.Threads == 0)
+    O.Threads = std::thread::hardware_concurrency();
+  O.Threads = static_cast<unsigned>(std::clamp<std::ptrdiff_t>(
+      O.Threads, 1, std::counting_semaphore<>::max()));
+  return O;
+}
+
 } // namespace
 
-ServerCore::ServerCore(ServeOptions O) : Opts(std::move(O)), Cache(Opts.Cache) {
-  if (Opts.Threads == 0) {
-    Opts.Threads = std::thread::hardware_concurrency();
-    if (Opts.Threads == 0)
-      Opts.Threads = 1;
-  }
-  FreeSlots = Opts.Threads;
-}
+ServerCore::ServerCore(ServeOptions O)
+    : Opts(resolved(std::move(O))), Cache(Opts.Cache), Slots(Opts.Threads) {}
 
 std::string ServerCore::protocolErrorResponse(std::string_view Message) {
   StatsRegistry::current().add("serve.errors", 1);
@@ -286,11 +291,6 @@ ServerCore::handleBatch(const std::vector<std::string> &Lines) {
 
 std::string ServerCore::handle(const std::string &Line) {
   StatsRegistry::current().add("serve.requests", 1);
-  std::string Response = handleParsed(Line);
-  return Response;
-}
-
-std::string ServerCore::handleParsed(const std::string &Line) {
   if (Line.size() > Opts.MaxLineBytes)
     return protocolErrorResponse(
         formatString("frame exceeds %zu bytes", Opts.MaxLineBytes));
@@ -461,7 +461,7 @@ std::string ServerCore::handleParsed(const std::string &Line) {
       DisabledJoined += '+';
     DisabledJoined += Name;
   }
-  Req.ConfigKey = formatString(
+  std::string ConfigKey = formatString(
       "strategy=%s,cascade=%u,sta=%u,profile=%u,andersen=%u,ae=%llu,aw=%llu,"
       "atb=%llu,fuel=%llu,disable=%s",
       Strategy.c_str(), Cascade ? 1 : 0, StA ? 1 : 0, UseProfile ? 1 : 0,
@@ -473,15 +473,14 @@ std::string ServerCore::handleParsed(const std::string &Line) {
   if (WorkloadV) {
     if (!WorkloadV->isString())
       return Fail(2, "'workload' must be a string");
-    Req.WorkloadName = WorkloadV->asString();
-    const Workload *Found = nullptr;
+    const std::string &Name = WorkloadV->asString();
     for (const Workload &W : Opts.Workloads)
-      if (W.Name == Req.WorkloadName)
-        Found = &W;
-    if (!Found)
-      return Fail(2, "unknown workload '" + Req.WorkloadName + "'");
-    Req.TrainScale = Found->TrainScale;
-    Req.RefScale = Found->RefScale;
+      if (W.Name == Name)
+        Req.W = &W;
+    if (!Req.W)
+      return Fail(2, "unknown workload '" + Name + "'");
+    Req.TrainScale = Req.W->TrainScale;
+    Req.RefScale = Req.W->RefScale;
     if (const JSONValue *V = Doc.find("train_scale"))
       if (!takeUint(*V, Req.TrainScale))
         return Fail(2, "'train_scale' must be an unsigned integer");
@@ -492,11 +491,10 @@ std::string ServerCore::handleParsed(const std::string &Line) {
       if (Scale == 0 || Scale > Opts.MaxScale)
         return Fail(2, formatString("scales must be in [1, %llu]",
                                     (unsigned long long)Opts.MaxScale));
-    Req.CanonicalKey =
-        formatString("w/%s@%llu:%llu|", Req.WorkloadName.c_str(),
-                     (unsigned long long)Req.TrainScale,
-                     (unsigned long long)Req.RefScale) +
-        Req.ConfigKey;
+    Req.CanonicalKey = formatString("w/%s@%llu:%llu|", Name.c_str(),
+                                    (unsigned long long)Req.TrainScale,
+                                    (unsigned long long)Req.RefScale) +
+                       ConfigKey;
   } else {
     if (Doc.find("train_scale") || Doc.find("ref_scale"))
       return Fail(2, "scales apply to named workloads, not inline programs");
@@ -513,14 +511,10 @@ std::string ServerCore::handleParsed(const std::string &Line) {
     std::vector<std::string> Errors = ir::verifyModule(M);
     if (!Errors.empty())
       return Fail(2, "program verify error: " + Errors.front());
-    Req.IsProgram = true;
     Req.CanonicalProgram = ir::canonicalModuleText(M);
-    // The full canonical text rides in the key (after the routing
-    // fingerprint) — collision freedom by construction.
-    Req.CanonicalKey =
-        formatString("p/%016llx|",
-                     (unsigned long long)fnv1a64(Req.CanonicalProgram)) +
-        Req.ConfigKey + "\n" + Req.CanonicalProgram;
+    // The full canonical text rides in the key — collision freedom by
+    // construction.
+    Req.CanonicalKey = "p/" + ConfigKey + "\n" + Req.CanonicalProgram;
   }
 
   Req.IdJson = IdJson;
@@ -544,19 +538,11 @@ std::string ServerCore::runOp(const RunRequest &Req, bool WantStats) {
   }
 
   // Bound in-flight pipeline runs; cache hits above never wait here.
-  {
-    std::unique_lock<std::mutex> Lock(SlotMutex);
-    SlotCv.wait(Lock, [this] { return FreeSlots > 0; });
-    --FreeSlots;
-  }
+  Slots.acquire();
   std::string Error;
   int ErrorStatus = 1;
   PipelineResult R = executeRun(Req, Error, ErrorStatus);
-  {
-    std::lock_guard<std::mutex> Lock(SlotMutex);
-    ++FreeSlots;
-  }
-  SlotCv.notify_one();
+  Slots.release();
 
   std::string Body;
   if (!Error.empty()) {
@@ -577,24 +563,13 @@ std::string ServerCore::runOp(const RunRequest &Req, bool WantStats) {
 
 PipelineResult ServerCore::executeRun(const RunRequest &Req,
                                       std::string &Error, int &ErrorStatus) {
-  if (!Req.IsProgram) {
-    const Workload *Found = nullptr;
-    for (const Workload &W : Opts.Workloads)
-      if (W.Name == Req.WorkloadName)
-        Found = &W;
-    if (!Found) { // validated at parse time; defensive
-      ErrorStatus = 2;
-      Error = "unknown workload '" + Req.WorkloadName + "'";
-      return {};
-    }
-    Workload W = *Found;
+  if (Req.W) {
+    Workload W = *Req.W;
     W.TrainScale = Req.TrainScale;
     W.RefScale = Req.RefScale;
     PipelineResult R = runPipeline(W, Req.Config, &Profiles);
-    if (!R.Ok) {
-      ErrorStatus = 1;
+    if (!R.Ok)
       Error = R.Error.empty() ? "pipeline failed" : R.Error;
-    }
     return R;
   }
 
@@ -646,40 +621,112 @@ bool sendAll(int Fd, std::string_view Data) {
   return true;
 }
 
-int connectTcpOnce(uint16_t Port, std::string &Error) {
-  int Fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (Fd < 0) {
-    Error = formatString("socket: %s", std::strerror(errno));
-    return -1;
+/// The frame loop of every transport. Reads \p InFd in chunks of up to
+/// \p ChunkBytes (read(2), not buffered input, so pipelined frames batch
+/// onto the pool instead of trickling one at a time) until EOF, shutdown
+/// or an I/O error. Each chunk's complete frames answer as one
+/// handleBatch, followed by one error per oversized frame dropped in the
+/// chunk (those carried no parseable id); at EOF a frame cut short is
+/// answered with \p MidFrame. \p Write sends one chunk's responses.
+/// EAGAIN is the socket receive timeout's tick: it rechecks shutdown.
+/// Returns false on a read or write error.
+bool serveFrames(ServerCore &Core, int InFd, size_t ChunkBytes,
+                 const char *MidFrame,
+                 const std::function<bool(std::string_view)> &Write) {
+  LineSplitter Splitter(Core.options().MaxLineBytes);
+  std::vector<char> Buf(ChunkBytes);
+  while (!Core.shutdownRequested()) {
+    ssize_t N = ::read(InFd, Buf.data(), Buf.size());
+    if (N < 0) {
+      if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK)
+        continue;
+      return false;
+    }
+    std::vector<std::string> Frames;
+    size_t Dropped =
+        Splitter.feed(std::string_view(Buf.data(), size_t(N)), Frames);
+    std::vector<std::string> Responses = Core.handleBatch(Frames);
+    for (size_t I = 0; I < Dropped; ++I)
+      Responses.push_back(Core.protocolErrorResponse(formatString(
+          "frame exceeds %zu bytes", Core.options().MaxLineBytes)));
+    std::string Partial;
+    if (N == 0 && Splitter.finish(Partial))
+      Responses.push_back(Core.protocolErrorResponse(MidFrame));
+
+    std::string Out;
+    for (const std::string &R : Responses) {
+      Out += R;
+      Out += '\n';
+    }
+    if (!Write(Out))
+      return false;
+    if (N == 0)
+      break;
   }
-  sockaddr_in Addr{};
-  Addr.sin_family = AF_INET;
-  Addr.sin_port = htons(Port);
-  Addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  if (::connect(Fd, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr)) < 0) {
-    Error = formatString("connect 127.0.0.1:%u: %s", unsigned(Port),
-                         std::strerror(errno));
-    ::close(Fd);
-    return -1;
-  }
-  return Fd;
+  return true;
 }
 
-int connectUnixOnce(const std::string &Path, std::string &Error) {
-  sockaddr_un Addr{};
-  if (Path.empty() || Path.size() >= sizeof(Addr.sun_path)) {
-    Error = "unix socket path empty or too long";
-    return -1;
+/// A socket address parsed from an endpoint spec (see Serve.h).
+struct Endpoint {
+  union {
+    sockaddr_un Un; ///< First, the largest: Addr{} zeroes all of it.
+    sockaddr_in In;
+    sockaddr Any;
+  } Addr{};
+  socklen_t Len = 0;
+  std::string Name; ///< "127.0.0.1:PORT" or the Unix path, for messages.
+};
+
+bool parseEndpoint(const std::string &Spec, Endpoint &E, std::string &Error) {
+  if (Spec.rfind("unix:", 0) == 0) {
+    E.Name = Spec.substr(5);
+    if (E.Name.empty() || E.Name.size() >= sizeof(E.Addr.Un.sun_path)) {
+      Error = "unix socket path empty or too long";
+      return false;
+    }
+    E.Addr.Un.sun_family = AF_UNIX;
+    std::memcpy(E.Addr.Un.sun_path, E.Name.c_str(), E.Name.size() + 1);
+    E.Len = sizeof(sockaddr_un);
+    return true;
   }
-  int Fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  if (Spec.rfind("tcp:", 0) == 0) {
+    const char *Begin = Spec.data() + 4, *End = Spec.data() + Spec.size();
+    unsigned Port = 0;
+    auto [Stop, Ec] = std::from_chars(Begin, End, Port);
+    if (Begin == End || Ec != std::errc() || Stop != End || Port == 0 ||
+        Port > 65535) {
+      Error = "tcp port must be in [1, 65535]: " + Spec;
+      return false;
+    }
+    E.Addr.In.sin_family = AF_INET;
+    E.Addr.In.sin_port = htons(static_cast<uint16_t>(Port));
+    E.Addr.In.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    E.Len = sizeof(sockaddr_in);
+    E.Name = formatString("127.0.0.1:%u", Port);
+    return true;
+  }
+  Error = "endpoint must be unix:PATH or tcp:PORT, got '" + Spec + "'";
+  return false;
+}
+
+/// A stream socket for \p E, bound and listening or connected.
+int openSocket(const Endpoint &E, bool Listen, std::string &Error) {
+  int Fd = ::socket(E.Addr.Any.sa_family, SOCK_STREAM, 0);
   if (Fd < 0) {
     Error = formatString("socket: %s", std::strerror(errno));
     return -1;
   }
-  Addr.sun_family = AF_UNIX;
-  std::memcpy(Addr.sun_path, Path.c_str(), Path.size() + 1);
-  if (::connect(Fd, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr)) < 0) {
-    Error = formatString("connect %s: %s", Path.c_str(), std::strerror(errno));
+  // SO_REUSEADDR lets a restarted daemon rebind a TCP port whose old
+  // connections linger in TIME_WAIT; Unix sockets ignore it.
+  int One = 1;
+  if (Listen)
+    ::setsockopt(Fd, SOL_SOCKET, SO_REUSEADDR, &One, sizeof(One));
+  bool Ok = Listen ? ::bind(Fd, &E.Addr.Any, E.Len) == 0 &&
+                         ::listen(Fd, 64) == 0
+                   : ::connect(Fd, &E.Addr.Any, E.Len) == 0;
+  if (!Ok) {
+    Error = formatString("%s %s: %s", Listen ? "bind/listen" : "connect",
+                         E.Name.c_str(), std::strerror(errno));
     ::close(Fd);
     return -1;
   }
@@ -688,138 +735,58 @@ int connectUnixOnce(const std::string &Path, std::string &Error) {
 
 } // namespace
 
-int srp::core::listenTcp(uint16_t Port, std::string &Error) {
-  int Fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (Fd < 0) {
-    Error = formatString("socket: %s", std::strerror(errno));
+int srp::core::listenOn(const std::string &Spec, std::string &Error) {
+  Endpoint E;
+  if (!parseEndpoint(Spec, E, Error))
     return -1;
-  }
-  int One = 1;
-  ::setsockopt(Fd, SOL_SOCKET, SO_REUSEADDR, &One, sizeof(One));
-  sockaddr_in Addr{};
-  Addr.sin_family = AF_INET;
-  Addr.sin_port = htons(Port);
-  Addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  if (::bind(Fd, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr)) < 0 ||
-      ::listen(Fd, 64) < 0) {
-    Error = formatString("bind/listen 127.0.0.1:%u: %s", unsigned(Port),
-                         std::strerror(errno));
-    ::close(Fd);
-    return -1;
-  }
-  return Fd;
-}
-
-int srp::core::listenUnix(const std::string &Path, std::string &Error) {
-  sockaddr_un Addr{};
-  if (Path.empty() || Path.size() >= sizeof(Addr.sun_path)) {
-    Error = "unix socket path empty or too long";
-    return -1;
-  }
-  ::unlink(Path.c_str()); // replace a stale socket file
-  int Fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (Fd < 0) {
-    Error = formatString("socket: %s", std::strerror(errno));
-    return -1;
-  }
-  Addr.sun_family = AF_UNIX;
-  std::memcpy(Addr.sun_path, Path.c_str(), Path.size() + 1);
-  if (::bind(Fd, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr)) < 0 ||
-      ::listen(Fd, 64) < 0) {
-    Error = formatString("bind/listen %s: %s", Path.c_str(),
-                         std::strerror(errno));
-    ::close(Fd);
-    return -1;
-  }
-  return Fd;
+  if (E.Addr.Any.sa_family == AF_UNIX)
+    ::unlink(E.Name.c_str()); // replace a stale socket file
+  return openSocket(E, /*Listen=*/true, Error);
 }
 
 int srp::core::connectToServer(const std::string &Spec, unsigned RetryMs,
                                std::string &Error) {
-  bool IsUnix = Spec.rfind("unix:", 0) == 0;
-  bool IsTcp = Spec.rfind("tcp:", 0) == 0;
-  uint16_t Port = 0;
-  std::string Path;
-  if (IsUnix) {
-    Path = Spec.substr(5);
-  } else if (IsTcp) {
-    unsigned long Value = 0;
-    const std::string Digits = Spec.substr(4);
-    if (Digits.empty() ||
-        Digits.find_first_not_of("0123456789") != std::string::npos ||
-        (Value = std::stoul(Digits)) == 0 || Value > 65535) {
-      Error = "tcp port must be in [1, 65535]: " + Spec;
-      return -1;
-    }
-    Port = static_cast<uint16_t>(Value);
-  } else {
-    Error = "endpoint must be unix:PATH or tcp:PORT, got '" + Spec + "'";
+  Endpoint E;
+  if (!parseEndpoint(Spec, E, Error))
     return -1;
-  }
-
   for (unsigned WaitedMs = 0;; WaitedMs += 10) {
-    std::string Attempt;
-    int Fd = IsUnix ? connectUnixOnce(Path, Attempt)
-                    : connectTcpOnce(Port, Attempt);
-    if (Fd >= 0)
+    int Fd = openSocket(E, /*Listen=*/false, Error);
+    if (Fd >= 0 || WaitedMs >= RetryMs)
       return Fd;
-    if (WaitedMs >= RetryMs) {
-      Error = Attempt;
-      return -1;
-    }
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
 }
 
 void srp::core::serveConnection(ServerCore &Core, int Fd) {
-  LineSplitter Splitter(Core.options().MaxLineBytes);
-  std::vector<char> Buf(64u << 10);
-  while (!Core.shutdownRequested()) {
-    ssize_t N = ::recv(Fd, Buf.data(), Buf.size(), 0);
-    if (N < 0) {
-      if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK)
-        continue; // SO_RCVTIMEO tick: recheck shutdown
-      break;
-    }
-
-    std::vector<std::string> Responses;
-    if (N > 0) {
-      std::vector<std::string> Frames;
-      size_t Dropped =
-          Splitter.feed(std::string_view(Buf.data(), size_t(N)), Frames);
-      Responses = Core.handleBatch(Frames);
-      // Dropped frames carried no parseable id; their error responses
-      // follow the batch.
-      for (size_t I = 0; I < Dropped; ++I)
-        Responses.push_back(Core.protocolErrorResponse(formatString(
-            "frame exceeds %zu bytes", Core.options().MaxLineBytes)));
-    } else {
-      // Peer half-closed. A frame cut short still gets its documented
-      // error response before we close.
-      std::string Partial;
-      if (Splitter.finish(Partial))
-        Responses.push_back(Core.protocolErrorResponse(
-            "connection closed mid-frame (missing final newline)"));
-    }
-
-    bool WriteOk = true;
-    for (std::string &R : Responses) {
-      R += '\n';
-      if (!sendAll(Fd, R)) {
-        WriteOk = false;
-        break;
-      }
-    }
-    if (N == 0 || !WriteOk)
-      break;
-  }
+  serveFrames(Core, Fd, 64u << 10,
+              "connection closed mid-frame (missing final newline)",
+              [Fd](std::string_view Data) { return sendAll(Fd, Data); });
   ::close(Fd);
 }
 
 int srp::core::runSocketServer(ServerCore &Core, int ListenFd) {
-  std::vector<std::thread> Connections;
+  struct Connection {
+    std::thread Thread;
+    std::atomic<bool> Done{false};
+  };
+  std::list<Connection> Connections;
+  // Joins the connections whose clients have gone (all of them when
+  // \p All), so a client connecting in a loop leaves no thread stacks
+  // behind.
+  auto Reap = [&Connections](bool All) {
+    for (auto It = Connections.begin(); It != Connections.end();) {
+      if (!All && !It->Done.load()) {
+        ++It;
+        continue;
+      }
+      It->Thread.join();
+      It = Connections.erase(It);
+    }
+  };
+
   int Ret = 0;
   while (!Core.shutdownRequested()) {
+    Reap(/*All=*/false);
     pollfd P{ListenFd, POLLIN, 0};
     int R = ::poll(&P, 1, /*timeout ms=*/200);
     if (R < 0) {
@@ -838,56 +805,35 @@ int srp::core::runSocketServer(ServerCore &Core, int ListenFd) {
       break;
     }
     // A receive timeout turns blocked connection threads into 200ms
-    // pollers of the shutdown flag, so join() below always returns.
+    // pollers of the shutdown flag, so the final join always returns.
     timeval Tv{};
     Tv.tv_usec = 200'000;
     ::setsockopt(Fd, SOL_SOCKET, SO_RCVTIMEO, &Tv, sizeof(Tv));
-    Connections.emplace_back([&Core, Fd] { serveConnection(Core, Fd); });
+    Connection &C = Connections.emplace_back();
+    try {
+      C.Thread = std::thread([&Core, &C, Fd] {
+        serveConnection(Core, Fd);
+        C.Done.store(true);
+      });
+    } catch (const std::system_error &) {
+      // Out of threads: refuse this client instead of ending the daemon.
+      ::close(Fd);
+      Connections.pop_back();
+    }
   }
   ::close(ListenFd);
-  for (std::thread &T : Connections)
-    T.join();
+  Reap(/*All=*/true);
   return Ret;
 }
 
 int srp::core::runStdioServer(ServerCore &Core, std::FILE *In,
                               std::FILE *Out) {
-  LineSplitter Splitter(Core.options().MaxLineBytes);
-  std::vector<char> Buf(256u << 10);
-  int InFd = fileno(In);
-  while (!Core.shutdownRequested()) {
-    // read(2), not fread: deliver whatever is available so pipelined
-    // frames batch onto the pool instead of trickling one at a time.
-    ssize_t N = ::read(InFd, Buf.data(), Buf.size());
-    if (N < 0) {
-      if (errno == EINTR)
-        continue;
-      return 1;
-    }
-
-    std::vector<std::string> Responses;
-    if (N > 0) {
-      std::vector<std::string> Frames;
-      size_t Dropped =
-          Splitter.feed(std::string_view(Buf.data(), size_t(N)), Frames);
-      Responses = Core.handleBatch(Frames);
-      for (size_t I = 0; I < Dropped; ++I)
-        Responses.push_back(Core.protocolErrorResponse(formatString(
-            "frame exceeds %zu bytes", Core.options().MaxLineBytes)));
-    } else {
-      std::string Partial;
-      if (Splitter.finish(Partial))
-        Responses.push_back(Core.protocolErrorResponse(
-            "input ended mid-frame (missing final newline)"));
-    }
-
-    for (const std::string &R : Responses) {
-      std::fwrite(R.data(), 1, R.size(), Out);
-      std::fputc('\n', Out);
-    }
-    std::fflush(Out);
-    if (N == 0)
-      break;
-  }
-  return 0;
+  bool Ok = serveFrames(
+      Core, fileno(In), 256u << 10,
+      "input ended mid-frame (missing final newline)",
+      [Out](std::string_view Data) {
+        return std::fwrite(Data.data(), 1, Data.size(), Out) == Data.size() &&
+               std::fflush(Out) == 0;
+      });
+  return Ok ? 0 : 1;
 }

@@ -18,10 +18,12 @@
 /// Layering: ServerCore is transport-free (a string-in/string-out
 /// request processor, thread-safe, never aborting on malformed input) so
 /// tests and the protocol fuzzer drive it in-process; LineSplitter is
-/// the NDJSON frame decoder shared by every transport; the stdio and
-/// socket servers at the bottom are the daemon plumbing. Batches of
-/// pipelined frames are fanned out over core::parallelFor — the same
-/// pool discipline as runExperiments — and a semaphore bounds the
+/// the NDJSON frame decoder. The daemon plumbing at the bottom runs one
+/// frame loop for both transports (stdio and a connected socket) and
+/// opens sockets from one "unix:PATH" / "tcp:PORT" endpoint syntax for
+/// both listening and connecting. Batches of pipelined frames are fanned
+/// out over core::parallelFor — the same pool discipline as
+/// runExperiments — and a std::counting_semaphore bounds the
 /// process-wide number of in-flight pipeline runs to ServeOptions::
 /// Threads, whatever the number of connections.
 ///
@@ -39,9 +41,8 @@
 #include "core/ResultCache.h"
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdio>
-#include <mutex>
+#include <semaphore>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -128,7 +129,6 @@ public:
 private:
   struct RunRequest;
 
-  std::string handleParsed(const std::string &Line);
   std::string runOp(const RunRequest &Req, bool WantStats);
   PipelineResult executeRun(const RunRequest &Req, std::string &Error,
                             int &ErrorStatus);
@@ -143,46 +143,41 @@ private:
   /// promotion config, same workload). Locks itself.
   ProfileCache Profiles;
 
-  /// Counting semaphore bounding in-flight pipeline runs to
-  /// Opts.Threads (cache hits bypass it, so a warm request never waits
-  /// behind cold compiles).
-  std::mutex SlotMutex;
-  std::condition_variable SlotCv;
-  unsigned FreeSlots;
+  /// Bounds in-flight pipeline runs to Opts.Threads (cache hits bypass
+  /// it, so a warm request never waits behind cold compiles).
+  std::counting_semaphore<> Slots;
 };
 
 /// -- Daemon plumbing ------------------------------------------------------
 ///
-/// The returned file descriptors are plain POSIX fds; -1 with \p Error
-/// set on failure.
+/// Endpoints are "unix:PATH" or "tcp:PORT" (TCP on 127.0.0.1 only). The
+/// returned file descriptors are plain POSIX fds; -1 with \p Error set on
+/// failure.
 
-/// Listening TCP socket on 127.0.0.1:\p Port.
-int listenTcp(uint16_t Port, std::string &Error);
-
-/// Listening Unix-domain socket at \p Path (an existing socket file is
+/// Listening socket on \p Spec (an existing Unix socket file is
 /// replaced).
-int listenUnix(const std::string &Path, std::string &Error);
+int listenOn(const std::string &Spec, std::string &Error);
 
-/// Client side: connects to "unix:PATH" or "tcp:PORT" (loopback),
-/// retrying for up to \p RetryMs while the endpoint does not exist yet
-/// (lets a load generator start alongside the daemon).
+/// Client side: connects to \p Spec, retrying for up to \p RetryMs while
+/// the endpoint does not exist yet (lets a load generator start
+/// alongside the daemon).
 int connectToServer(const std::string &Spec, unsigned RetryMs,
                     std::string &Error);
 
-/// Serves one established connection until EOF or shutdown: reads
-/// frames, fans each read's worth of pipelined requests through
-/// ServerCore::handleBatch, writes responses in request order. Closes
+/// Serves one established connection until EOF or shutdown through the
+/// shared frame loop: each read's worth of pipelined requests goes
+/// through ServerCore::handleBatch, responses in request order. Closes
 /// \p Fd. Safe to run on many threads against one core.
 void serveConnection(ServerCore &Core, int Fd);
 
-/// Accept loop: one serveConnection thread per client until shutdown.
-/// Closes \p ListenFd. Returns 0 on clean shutdown, 1 on accept-loop
-/// failure.
+/// Accept loop: one serveConnection thread per client until shutdown,
+/// joining each as soon as its client has gone. Closes \p ListenFd.
+/// Returns 0 on clean shutdown, 1 on accept-loop failure.
 int runSocketServer(ServerCore &Core, int ListenFd);
 
-/// Stdin/stdout transport: batches of pipelined frames from \p In,
-/// responses in input order to \p Out. Returns 0 at EOF or clean
-/// shutdown.
+/// Stdin/stdout transport over the same frame loop: batches of pipelined
+/// frames from \p In, responses in input order to \p Out. Returns 0 at
+/// EOF or clean shutdown, 1 on an I/O error.
 int runStdioServer(ServerCore &Core, std::FILE *In, std::FILE *Out);
 
 } // namespace srp::core

@@ -48,7 +48,6 @@ core::ServeOptions fuzzServeOptions() {
   O.MaxProgramBytes = 1024;
   O.MaxScale = 4;
   O.InterpFuel = 1'000'000;
-  O.Cache.Shards = 4;
   O.Cache.ByteBudget = 64u << 10;
   core::Workload Tiny;
   Tiny.Name = "tiny";

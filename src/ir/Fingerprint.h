@@ -12,11 +12,11 @@
 /// spelling, so two inputs that parse to the same program have
 /// byte-identical canonical text. The fingerprint is the FNV-1a hash of
 /// that text — stable across builds and platforms (support/Hash.h), and
-/// usable as a cache shard index or a report field.
+/// usable as a report field.
 ///
 /// The canonical text, not the fingerprint, is the identity: consumers
 /// keying storage by module (core::ResultCache) store the canonical text
-/// and compare it on lookup, so a hash collision can cost a shard-bucket
+/// and compare it on lookup, so a hash collision can cost a bucket
 /// neighbour at most — never a wrong answer.
 ///
 //===----------------------------------------------------------------------===//

@@ -5,11 +5,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// FNV-1a hashing for content addressing (the serve result cache keys,
-/// module fingerprints). The function is fixed by specification — not
-/// std::hash, whose value is implementation-defined — so fingerprints are
-/// stable across builds, platforms and standard libraries, and may be
-/// recorded in reports and compared between runs.
+/// FNV-1a hashing for content addressing (module fingerprints, the IR
+/// parser's name tables, fuzz seeds). The function is fixed by
+/// specification — not std::hash, whose value is implementation-defined
+/// — so fingerprints are stable across builds, platforms and standard
+/// libraries, and may be recorded in reports and compared between runs.
 ///
 /// Collision policy: every consumer that addresses by hash must either
 /// tolerate collisions or, like core::ResultCache, store the full key and

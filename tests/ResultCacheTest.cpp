@@ -11,9 +11,9 @@
 ///    10-workload x 3-strategy grid through ServerCore;
 ///  * eviction under an adversarially tiny byte budget never corrupts:
 ///    a lookup returns the exact inserted body or nothing;
-///  * collisions are impossible by construction: the hash only routes
-///    to a shard, entries compare by full key — verified differentially
-///    over every fuzz-repros/ program plus 500 generated programs.
+///  * collisions are impossible by construction: entries compare by
+///    full key — verified differentially over every fuzz-repros/
+///    program plus 500 generated programs.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -100,8 +100,7 @@ TEST(ResultCacheServing, HitIsByteIdenticalToColdAcrossGrid) {
 // belonging to another key, never a torn value.
 TEST(ResultCacheTest, TinyBudgetEvictsWithoutCorruption) {
   ResultCacheConfig Config;
-  Config.Shards = 2;
-  Config.ByteBudget = 512; // 256 bytes per shard
+  Config.ByteBudget = 512;
   ResultCache Cache(Config);
 
   std::map<std::string, std::string> Truth;
@@ -125,11 +124,10 @@ TEST(ResultCacheTest, TinyBudgetEvictsWithoutCorruption) {
   EXPECT_GT(Cache.stats().Evictions, 0u);
 }
 
-// An entry bigger than a whole shard's budget is refused outright
-// rather than thrashing the shard empty.
+// An entry bigger than the whole budget is refused outright rather
+// than thrashing the cache empty.
 TEST(ResultCacheTest, OversizedEntryIsUncacheable) {
   ResultCacheConfig Config;
-  Config.Shards = 1;
   Config.ByteBudget = 100;
   ResultCache Cache(Config);
   Cache.insert("small", "v");
@@ -151,12 +149,11 @@ TEST(ResultCacheTest, ReplaceUpdatesInPlace) {
 }
 
 // Collision freedom by construction, checked differentially: canonical
-// texts of every fuzz repro and 500 generated programs go into a
-// single-shard cache (every key shares the one bucket table, the
-// worst case for hash collisions), and each key must come back with
-// its own body. Also pins canonicalization idempotence — parsing the
-// canonical text and canonicalizing again is a fixpoint — since the
-// canonical text *is* the cache identity.
+// texts of every fuzz repro and 500 generated programs go into one
+// cache, and each key must come back with its own body. Also pins
+// canonicalization idempotence — parsing the canonical text and
+// canonicalizing again is a fixpoint — since the canonical text *is*
+// the cache identity.
 TEST(ResultCacheTest, DistinctProgramsNeverAlias) {
   std::vector<std::string> Programs;
   std::string Dir = std::string(SRP_SOURCE_DIR) + "/fuzz-repros";
@@ -186,9 +183,7 @@ TEST(ResultCacheTest, DistinctProgramsNeverAlias) {
     Programs.push_back(
         fuzz::generatedProgramText(/*ShapeSeed=*/Seed, /*ProgSeed=*/Seed));
 
-  ResultCacheConfig Config;
-  Config.Shards = 1; // every key in one bucket table: worst case
-  ResultCache Cache(Config);
+  ResultCache Cache;
   std::map<std::string, std::string> Truth;
   std::set<uint64_t> Fingerprints;
   for (size_t I = 0; I < Programs.size(); ++I) {

@@ -127,7 +127,6 @@ TEST(ServeStress, TinyCacheUnderConcurrencyStaysConsistent) {
   ServeOptions O;
   O.Threads = 4;
   O.Workloads = workloads::standardWorkloads();
-  O.Cache.Shards = 2;
   O.Cache.ByteBudget = 4096; // forces steady eviction
   ServerCore Core(std::move(O));
 

@@ -28,9 +28,10 @@
 //
 //   srp-run lint [options] program.sir
 //     Static speculation-safety checking (analysis/SpecVerifier.h): by
-//     default the program is promoted first (same profile-feedback flow
-//     as a normal run, honouring --strategy/--cascade/--sta/--no-profile
-//     and --alat-entries) and the *promoted* IR is verified; with
+//     default the program is promoted first (the build, profile and
+//     promote passes of a normal run, train fuel included, honouring
+//     --strategy/--cascade/--sta/--no-profile and --alat-entries) and the
+//     *promoted* IR is verified; with
 //     --no-promote the input is linted as written, which is the mode for
 //     hand-authored speculative .sir files. --Werror promotes warnings
 //     (the ALAT capacity lint) to a failing exit.
@@ -50,7 +51,6 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "alias/AliasAnalysis.h"
 #include "analysis/SpecVerifier.h"
 #include "analysis/TaintFlow.h"
 #include "analysis/Witness.h"
@@ -60,7 +60,6 @@
 #include "ir/Parser.h"
 #include "ir/Printer.h"
 #include "ir/Verifier.h"
-#include "pre/Promoter.h"
 #include "support/JSON.h"
 #include "support/OStream.h"
 #include "support/Stats.h"
@@ -275,34 +274,35 @@ std::string inputStem(const std::string &Path) {
 /// srp-run lint: static speculation-safety checking. Returns the process
 /// exit code. \p M is already parsed and verified.
 int runLint(ir::Module &M, const Options &Opts) {
-  // The same Steensgaard result serves the promoter and the verifier
-  // (promotion introduces no new memory objects, so the pre-promotion
-  // points-to solution stays valid for the promoted IR).
-  alias::SteensgaardAnalysis AA(M);
-
-  if (Opts.Promote) {
-    interp::AliasProfile AP;
-    interp::EdgeProfile EP;
-    interp::Interpreter Train(M);
-    Train.setAliasProfile(&AP);
-    Train.setEdgeProfile(&EP);
-    interp::RunResult Train_ = Train.run();
-    if (!Train_.Ok) {
-      errs() << "train run failed: " << Train_.Error << '\n';
-      return 2;
-    }
-    pre::promoteModule(M, AA, Opts.UseProfile ? &AP : nullptr, &EP,
-                       Opts.Promotion);
+  // The standard pipeline in module mode up to specverify: the same
+  // train run (and fuel) and promotion as a plain srp-run, then the
+  // verifier over the promoted IR. --no-promote lints M as written. The
+  // promoter's Steensgaard result serves the verifier and the taint
+  // dataflow (promotion introduces no new memory objects, so the
+  // pre-promotion points-to solution stays valid for the promoted IR).
+  core::PipelineState S;
+  S.External = &M;
+  S.Config.Promotion = Opts.Promotion;
+  S.Config.Sim = Opts.Sim;
+  S.Config.UseAliasProfile = Opts.UseProfile;
+  // taintflow too: --taint runs TaintFlow below, whose solver the
+  // witnesses need.
+  S.Config.DisabledPasses = {"taintflow", "lower", "regalloc", "simulate"};
+  if (!Opts.Promote)
+    S.Config.DisabledPasses.insert(S.Config.DisabledPasses.end(),
+                                   {"profile", "promote"});
+  core::PassManager PM;
+  core::addStandardPasses(PM);
+  if (!PM.run(S)) {
+    errs() << S.Result.Error << '\n';
+    return 2;
   }
   if (Opts.PrintIR) {
     outs() << "--- linted IR ---\n";
     ir::printModule(M, outs());
   }
 
-  analysis::SpecVerifyConfig SVC;
-  SVC.AlatEntries = Opts.Sim.Alat.Entries;
-  SVC.AA = &AA;
-  std::vector<analysis::SpecDiag> Diags = analysis::verifySpeculation(M, SVC);
+  std::vector<analysis::SpecDiag> Diags = std::move(S.Result.SpecDiags);
   sortAndDedupe(Diags);
 
   unsigned NumErrors = 0, NumWarnings = 0;
@@ -319,7 +319,7 @@ int runLint(ir::Module &M, const Options &Opts) {
   unsigned NumRefuted = 0;
   if (Opts.Taint) {
     analysis::TaintFlowConfig TFC;
-    TFC.AA = &AA;
+    TFC.AA = S.AA.get();
     analysis::TaintFlow TF(M, TFC);
     std::vector<analysis::TaintDiag> TDiags = TF.diags();
     sortAndDedupe(TDiags);
@@ -336,7 +336,7 @@ int runLint(ir::Module &M, const Options &Opts) {
       if (TF.hasSecrets() && M.findFunction("main")) {
         interp::Interpreter I(M);
         I.setTaintTrace(&Dyn);
-        HaveDyn = I.run().Ok;
+        HaveDyn = I.run(S.Config.InterpFuel).Ok;
       }
       std::vector<analysis::Witness> Ws = analysis::buildWitnesses(
           M, TF, Diags, HaveDyn ? &Dyn : nullptr);

@@ -9,11 +9,11 @@
 /// newline-delimited JSON requests on stdin (default), a loopback TCP
 /// port, or a Unix-domain socket; compiles and simulates the requested
 /// (workload|program, config) pairs on the shared thread pool; answers
-/// repeats byte-identically from the content-addressed result cache.
+/// repeats byte-identically from the content-addressed result cache, one
+/// LRU under one byte budget (--cache-mb).
 ///
 ///   srp-serve [--stdio] [--tcp=PORT] [--unix=PATH] [-jN]
-///             [--cache-mb=N] [--cache-shards=N] [--max-scale=N]
-///             [--fuel=N]
+///             [--cache-mb=N] [--max-scale=N] [--fuel=N]
 ///
 /// Exit codes follow the house convention: 0 clean shutdown / EOF,
 /// 1 runtime failure (bind, accept loop), 2 usage error.
@@ -35,9 +35,11 @@ using namespace srp;
 namespace {
 
 struct Options {
-  enum class Transport { Stdio, Tcp, Unix } Mode = Transport::Stdio;
-  unsigned TcpPort = 0;
-  std::string UnixPath;
+  /// The core::listenOn endpoint ("tcp:PORT" or "unix:PATH"); empty
+  /// serves stdio.
+  std::string Endpoint;
+  /// The endpoint as the startup message names it.
+  std::string Where;
   core::ServeOptions Serve;
 };
 
@@ -73,32 +75,32 @@ void usage(std::FILE *To) {
       "\n"
       "options:\n"
       "  -jN                concurrent pipeline runs (default: hardware)\n"
-      "  --cache-mb=N       result cache byte budget (default 256)\n"
-      "  --cache-shards=N   result cache shard count (default 16)\n"
+      "  --cache-mb=N       result cache budget in MB, one LRU over keys and\n"
+      "                     bodies (default 256)\n"
       "  --max-scale=N      largest accepted train/ref scale (default 64)\n"
       "  --fuel=N           interpreter fuel per run (part of cache key)\n",
       To);
 }
 
 bool parseArgs(int Argc, char **Argv, Options &Opts) {
-  uint64_t CacheMb = 256, CacheShards = 16;
+  uint64_t CacheMb = 256;
   for (int I = 1; I < Argc; ++I) {
     std::string_view Arg = Argv[I];
     uint64_t Value = 0;
     if (Arg == "--stdio") {
-      Opts.Mode = Options::Transport::Stdio;
+      Opts.Endpoint.clear();
     } else if (startsWith(Arg, "--tcp=")) {
       if (!parseUnsignedValue(Arg.substr(6), Value) || Value == 0 ||
           Value > 65535) {
         std::fprintf(stderr, "srp-serve: bad --tcp port\n");
         return false;
       }
-      Opts.Mode = Options::Transport::Tcp;
-      Opts.TcpPort = static_cast<unsigned>(Value);
+      Opts.Endpoint = "tcp:" + std::to_string(Value);
+      Opts.Where = "127.0.0.1:" + std::to_string(Value);
     } else if (startsWith(Arg, "--unix=")) {
-      Opts.Mode = Options::Transport::Unix;
-      Opts.UnixPath = std::string(Arg.substr(7));
-      if (Opts.UnixPath.empty()) {
+      Opts.Where = std::string(Arg.substr(7));
+      Opts.Endpoint = "unix:" + Opts.Where;
+      if (Opts.Where.empty()) {
         std::fprintf(stderr, "srp-serve: empty --unix path\n");
         return false;
       }
@@ -111,12 +113,6 @@ bool parseArgs(int Argc, char **Argv, Options &Opts) {
     } else if (startsWith(Arg, "--cache-mb=")) {
       if (!parseUnsignedValue(Arg.substr(11), CacheMb) || CacheMb == 0) {
         std::fprintf(stderr, "srp-serve: bad --cache-mb\n");
-        return false;
-      }
-    } else if (startsWith(Arg, "--cache-shards=")) {
-      if (!parseUnsignedValue(Arg.substr(15), CacheShards) ||
-          CacheShards == 0 || CacheShards > 4096) {
-        std::fprintf(stderr, "srp-serve: bad --cache-shards\n");
         return false;
       }
     } else if (startsWith(Arg, "--max-scale=")) {
@@ -141,7 +137,6 @@ bool parseArgs(int Argc, char **Argv, Options &Opts) {
     }
   }
   Opts.Serve.Cache.ByteBudget = static_cast<size_t>(CacheMb) << 20;
-  Opts.Serve.Cache.Shards = static_cast<unsigned>(CacheShards);
   return true;
 }
 
@@ -161,23 +156,15 @@ int main(int Argc, char **Argv) {
   Opts.Serve.Workloads = workloads::standardWorkloads();
   core::ServerCore Core(std::move(Opts.Serve));
 
-  if (Opts.Mode == Options::Transport::Stdio)
+  if (Opts.Endpoint.empty())
     return core::runStdioServer(Core, stdin, stdout);
 
   std::string Error;
-  int ListenFd = Opts.Mode == Options::Transport::Tcp
-                     ? core::listenTcp(static_cast<uint16_t>(Opts.TcpPort),
-                                       Error)
-                     : core::listenUnix(Opts.UnixPath, Error);
+  int ListenFd = core::listenOn(Opts.Endpoint, Error);
   if (ListenFd < 0) {
     std::fprintf(stderr, "srp-serve: %s\n", Error.c_str());
     return 1;
   }
-  if (Opts.Mode == Options::Transport::Tcp)
-    std::fprintf(stderr, "srp-serve: listening on 127.0.0.1:%u\n",
-                 Opts.TcpPort);
-  else
-    std::fprintf(stderr, "srp-serve: listening on %s\n",
-                 Opts.UnixPath.c_str());
+  std::fprintf(stderr, "srp-serve: listening on %s\n", Opts.Where.c_str());
   return core::runSocketServer(Core, ListenFd);
 }
