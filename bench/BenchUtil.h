@@ -8,9 +8,9 @@
 /// Helpers shared by the figure-reproduction benches. Every figure and
 /// ablation runs the same job shape — a workload×config grid of
 /// pipelines — so the harness parses the common command line (-jN,
-/// --smoke, --timing, --stats), hands the grid to core::runExperiments,
-/// dies on any failure or oracle divergence, and reports per-pass timing
-/// and the stats registry on request. Counters are identical for every
+/// --smoke, --stats), hands the grid to core::runExperiments, dies on
+/// any failure or oracle divergence, and dumps the stats registry (per-
+/// pass wall time included) on request. Counters are identical for every
 /// -j value (see core/Experiment.h), so parallelism never changes a
 /// figure, only its wall-clock.
 ///
@@ -27,8 +27,7 @@
 #include "support/StringUtils.h"
 #include "workloads/Workloads.h"
 
-#include <cstdlib>
-#include <map>
+#include <algorithm>
 
 namespace srp::bench {
 
@@ -36,7 +35,6 @@ namespace srp::bench {
 struct BenchOptions {
   unsigned Threads = 1; ///< -jN: parallel pipelines
   bool Smoke = false;   ///< --smoke: scale inputs down to a CI-fast run
-  bool Timing = false;  ///< --timing: per-pass wall-time breakdown
   bool Stats = false;   ///< --stats: dump the process StatsRegistry
 };
 
@@ -44,18 +42,18 @@ inline BenchOptions parseBenchOptions(int Argc, char **Argv) {
   BenchOptions Opts;
   for (int I = 1; I < Argc; ++I) {
     std::string_view Arg = Argv[I];
-    if (startsWith(Arg, "-j") && Arg.size() > 2)
-      Opts.Threads = static_cast<unsigned>(
-          std::max(1, std::atoi(Arg.data() + 2)));
-    else if (Arg == "--smoke")
+    if (startsWith(Arg, "-j") && Arg.size() > 2) {
+      if (!parseUnsigned(Arg.substr(2), Opts.Threads))
+        fatalError("invalid value in '" + std::string(Arg) +
+                   "' (expected a decimal integer)");
+      Opts.Threads = std::max(1u, Opts.Threads); // -j0 runs serially
+    } else if (Arg == "--smoke")
       Opts.Smoke = true;
-    else if (Arg == "--timing")
-      Opts.Timing = true;
     else if (Arg == "--stats")
       Opts.Stats = true;
     else
       fatalError("unknown bench option '" + std::string(Arg) +
-                 "' (supported: -jN --smoke --timing --stats)");
+                 "' (supported: -jN --smoke --stats)");
   }
   return Opts;
 }
@@ -110,47 +108,12 @@ inline ExperimentGrid runGridOrDie(std::vector<core::Workload> Ws,
   return G;
 }
 
-/// Prints the per-pass wall-time breakdown summed over \p Results
-/// (--timing). Pass times include only enabled passes that ran.
-inline void reportTiming(const std::vector<core::PipelineResult> &Results) {
-  std::map<std::string, uint64_t> Total;
-  for (const core::PipelineResult &R : Results)
-    for (const core::PipelineResult::PassTiming &T : R.Timings)
-      Total[T.Name] += T.Micros;
-  outs() << "\n-- pass timing (us, summed over " << Results.size()
-         << " pipelines) --\n";
-  for (const auto &[Name, Micros] : Total)
-    outs() << formatString("  %12llu  %s\n", (unsigned long long)Micros,
-                           Name.c_str());
-}
-
-/// End-of-bench reporting hook: --timing and --stats output.
-inline void finishBench(const BenchOptions &Opts,
-                        const std::vector<core::PipelineResult> &Results) {
-  if (Opts.Timing)
-    reportTiming(Results);
+/// End-of-bench reporting hook: --stats output.
+inline void finishBench(const BenchOptions &Opts) {
   if (Opts.Stats) {
     outs() << "\n-- stats registry --\n";
     StatsRegistry::get().report(outs());
   }
-}
-
-inline void finishBench(const BenchOptions &Opts, const ExperimentGrid &G) {
-  finishBench(Opts, G.Results);
-}
-
-/// Single-pipeline convenience used by the micro benches: run and check
-/// against the interpreter oracle, dying on failure.
-inline core::PipelineResult runOrDie(const core::Workload &W,
-                                     const core::PipelineConfig &Config) {
-  core::PipelineResult R = core::runPipeline(W, Config);
-  if (!R.Ok)
-    fatalError(W.Name + ": " + R.Error);
-  // Guard: a bench result is only meaningful if the binary is correct.
-  std::vector<std::string> Oracle = core::oracleOutput(W);
-  if (R.Output != Oracle)
-    fatalError(W.Name + ": simulated output diverges from the oracle");
-  return R;
 }
 
 inline double pctReduction(uint64_t Base, uint64_t Spec) {

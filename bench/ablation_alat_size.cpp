@@ -161,6 +161,6 @@ int main(int argc, char **argv) {
     }
     outs() << '\n';
   }
-  finishBench(Opts, Grid);
+  finishBench(Opts);
   return 0;
 }

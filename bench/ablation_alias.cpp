@@ -46,6 +46,6 @@ int main(int argc, char **argv) {
   outs() << "\nexpected: andersen <= steensgaard (never worse), and alat "
             "well below both — the ambiguity here is dynamic, not an "
             "analysis artifact\n";
-  finishBench(Opts, G);
+  finishBench(Opts);
   return 0;
 }

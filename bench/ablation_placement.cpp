@@ -42,6 +42,6 @@ int main(int argc, char **argv) {
   outs() << "\nreading: with several reuses per store the after-store "
             "form needs fewer checks; with several stores per reuse the "
             "at-reuse form does\n";
-  finishBench(Opts, G);
+  finishBench(Opts);
   return 0;
 }

@@ -158,6 +158,6 @@ int main(int argc, char **argv) {
             "precisely why the paper's implementation is 'limited to "
             "expressions that will not cause cascaded failure' (§4); "
             "EnableCascade stays off by default here too\n";
-  finishBench(Opts, G);
+  finishBench(Opts);
   return 0;
 }

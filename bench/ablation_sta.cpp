@@ -41,6 +41,6 @@ int main(int argc, char **argv) {
                            (unsigned long long)StA.Sim.Counters.Cycles,
                            StA.Promotion.StAStores);
   }
-  finishBench(Opts, G);
+  finishBench(Opts);
   return 0;
 }

@@ -47,6 +47,6 @@ int main(int argc, char **argv) {
   }
   outs() << "\nexpected order: conserv >= baseline >= alat >= alat+st.a; "
             "alat without a profile ~= baseline\n";
-  finishBench(Opts, G);
+  finishBench(Opts);
   return 0;
 }

@@ -42,6 +42,6 @@ int main(int argc, char **argv) {
                            (unsigned long long)C.AlatCheckFailures, Ratio,
                            Weight);
   }
-  finishBench(Opts, G);
+  finishBench(Opts);
   return 0;
 }

@@ -49,6 +49,6 @@ int main(int argc, char **argv) {
   }
   outs() << "\n(workloads are shallow call trees, so most rows are 0 — "
             "the deep-call RSE path is exercised by CodegenTest)\n";
-  finishBench(Opts, G);
+  finishBench(Opts);
   return 0;
 }

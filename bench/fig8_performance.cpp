@@ -70,6 +70,6 @@ int main(int argc, char **argv) {
         F * 100.0, F * SumCyc / N);
   outs() << "(the paper's 1-7%% corresponds to kernels covering roughly "
             "5-30%% of execution)\n";
-  finishBench(Opts, G);
+  finishBench(Opts);
   return 0;
 }

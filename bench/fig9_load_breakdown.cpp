@@ -50,6 +50,6 @@ int main(int argc, char **argv) {
                            Spec.Promotion.LoadsRemovedDirect,
                            Spec.Promotion.LoadsRemovedIndirect);
   }
-  finishBench(Opts, G);
+  finishBench(Opts);
   return 0;
 }

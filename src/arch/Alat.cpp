@@ -3,17 +3,6 @@
 #include "arch/Alat.h"
 
 #include <cassert>
-#include <cstdio>
-#include <cstdlib>
-
-static bool traceOn() {
-  // Written once under the magic-static lock, read-only afterwards.
-  static bool On = getenv("SRP_ALAT_TRACE") != nullptr;
-  return On;
-}
-// Each pipeline worker (core::runExperiments) simulates its own ALATs
-// concurrently, so the debug-trace budget is per-thread.
-static thread_local int TraceBudget = 400;
 
 using namespace srp::arch;
 
@@ -24,7 +13,6 @@ Alat::Alat(const AlatConfig &Config) : Config(Config) {
   if (NumSets == 0)
     NumSets = 1;
   Table.assign(NumSets * Config.Ways, Entry());
-  Trace = traceOn();
 }
 
 Alat::Alat(const AlatConfig &Config, const FaultPlan &Plan) : Alat(Config) {
@@ -76,8 +64,6 @@ bool Alat::faultForcesMiss() {
 
 void Alat::allocateSlow(unsigned Reg, uint64_t Addr) {
   ++Stats.Allocations;
-  if (Trace && TraceBudget-- > 0)
-    fprintf(stderr, "alloc r%u @%llx\n", Reg, (unsigned long long)Addr);
   if (Entry *E = findEntry(Reg)) {
     E->Addr = Addr;
     TagBloom |= uint64_t(1) << bloomBit(partialTag(Addr));
@@ -102,8 +88,6 @@ void Alat::allocateSlow(unsigned Reg, uint64_t Addr) {
     Victim = &Table[Set * Config.Ways];
     ++Stats.CapacityEvictions;
   }
-  if (Trace && Victim->Valid && TraceBudget > 0)
-    fprintf(stderr, "evict r%u for r%u\n", Victim->Reg, Reg);
   if (!Victim->Valid)
     ++NumValid;
   Victim->Valid = true;
@@ -132,9 +116,6 @@ void Alat::storeNotifyScan(uint64_t Addr, uint64_t Tag) {
     E.Valid = false;
     noteDropped();
     ++Stats.Invalidations;
-    if (Trace && TraceBudget-- > 0)
-      fprintf(stderr, "inval r%u @%llx by store @%llx\n", E.Reg,
-              (unsigned long long)E.Addr, (unsigned long long)Addr);
     if (E.Addr != Addr)
       ++Stats.FalseInvalidations;
   }
@@ -178,9 +159,6 @@ bool Alat::checkSlow(unsigned Reg, uint64_t Addr, bool Clear) {
   Entry *E = findEntry(Reg);
   if (!E || E->Addr != Addr) {
     ++Stats.CheckMisses;
-    if (Trace && TraceBudget-- > 0)
-      fprintf(stderr, "miss r%u @%llx (%s)\n", Reg,
-              (unsigned long long)Addr, E ? "addr-mismatch" : "no-entry");
     return false;
   }
   ++Stats.CheckHits;

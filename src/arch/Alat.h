@@ -62,11 +62,11 @@ public:
   Alat(const AlatConfig &Config, const FaultPlan &Faults);
 
   /// Allocates (or refreshes) the entry for \p Reg covering \p Addr.
-  /// Runs once per advanced load; the no-fault, no-trace refresh path
-  /// (the common case: promoted loops re-allocate the same register
-  /// every iteration) stays inline.
+  /// Runs once per advanced load; the no-fault refresh path (the common
+  /// case: promoted loops re-allocate the same register every
+  /// iteration) stays inline.
   void allocate(unsigned Reg, uint64_t Addr) {
-    if (Faults.enabled() || Trace)
+    if (Faults.enabled())
       return allocateSlow(Reg, Addr);
     ++Stats.Allocations;
     if (Entry *E = findEntry(Reg)) {
@@ -91,9 +91,9 @@ public:
 
   /// True if \p Reg has a valid entry whose recorded address is \p Addr.
   /// \p Clear removes the entry on a hit (the .clr completer). Runs once
-  /// per check load; inline except under fault injection or tracing.
+  /// per check load; inline except under fault injection.
   bool check(unsigned Reg, uint64_t Addr, bool Clear) {
-    if (Faults.enabled() || Trace)
+    if (Faults.enabled())
       return checkSlow(Reg, Addr, Clear);
     Entry *E = findEntry(Reg);
     if (!E || E->Addr != Addr) {
@@ -147,7 +147,7 @@ private:
 
   void storeNotifyScan(uint64_t Addr, uint64_t Tag);
 
-  /// Fault-injection / trace variants of the inline fast paths above;
+  /// Fault-injection variants of the inline fast paths above;
   /// behaviour is bit-identical when the plan is disabled.
   bool checkSlow(unsigned Reg, uint64_t Addr, bool Clear);
   bool checkRegisterSlow(unsigned Reg);
@@ -191,7 +191,6 @@ private:
     if (--NumValid == 0)
       TagBloom = 0;
   }
-  bool Trace = false; ///< SRP_ALAT_TRACE, latched at construction.
   AlatStats Stats;
   FaultPlan Faults;   ///< Disabled by default.
   RNG FaultRng{0};    ///< Only drawn from when Faults.enabled().

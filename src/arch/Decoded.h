@@ -14,8 +14,8 @@
 /// window bounds of call sites — is paid once per module instead of once
 /// per simulated instruction. The stream is immutable after construction
 /// and carries no pointers back into the MModule, so one DecodedModule is
-/// shared read-only across repeat simulations of the same binary:
-/// `valid::DiffOracle`'s fault-plan re-runs and `bench/micro_sim`.
+/// shared read-only across repeat simulations of the same binary, such
+/// as `valid::DiffOracle`'s fault-plan re-runs.
 ///
 /// Layout (module-level struct-of-arrays):
 ///  * one flat `DecodedOp[]` covering every function — branch/call/resume

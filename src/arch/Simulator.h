@@ -91,8 +91,8 @@ struct SimResult {
 SimResult simulate(const codegen::MModule &M, const SimConfig &Config);
 
 /// The original per-instruction fetch-decode interpreter loop, kept as
-/// the differential reference for the decoded executor (DecodedModuleTest,
-/// bench/micro_sim). Counter-for-counter identical to simulate().
+/// the differential reference for the decoded executor
+/// (DecodedModuleTest). Counter-for-counter identical to simulate().
 SimResult simulateLegacy(const codegen::MModule &M, const SimConfig &Config);
 
 } // namespace srp::arch

@@ -13,9 +13,9 @@
 /// Determinism: a pipeline run is a pure function of (workload, config) —
 /// each worker owns its PipelineState (modules, profiles, analysis
 /// cache; see core/Pass.h), and results are deposited by input index.
-/// The returned counters are therefore byte-identical for any thread
-/// count, including 1 (asserted by tests/ExperimentTest.cpp). Wall-clock
-/// Timings inside each result are the only nondeterministic field.
+/// The returned results are therefore byte-identical for any thread
+/// count, including 1 (asserted by tests/ExperimentTest.cpp). Pass wall
+/// times go to the stats registry, not into the results.
 ///
 //===----------------------------------------------------------------------===//
 

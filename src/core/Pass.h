@@ -6,11 +6,11 @@
 ///
 /// \file
 /// The pipeline as an explicit pass composition. A Pass is one named,
-/// individually timeable and disableable step of the paper's flow
+/// individually timed and disableable step of the paper's flow
 /// (profile → promote → verify → lower → allocate → simulate); the
 /// PassManager runs a sequence of them over a PipelineState, recording
-/// per-pass wall time into PipelineResult::Timings and the process-wide
-/// StatsRegistry, and honouring PipelineConfig::DisabledPasses.
+/// each pass's wall time in the StatsRegistry as pass.<name>.us, and
+/// honouring PipelineConfig::DisabledPasses.
 ///
 /// PipelineState carries everything the passes hand to each other:
 /// the modules, the profiles, the alias analysis, the machine module,
@@ -100,8 +100,8 @@ class Pass {
 public:
   virtual ~Pass() = default;
 
-  /// Stable identifier, used by --disable-pass, --timing and the
-  /// `srp-run passes` listing.
+  /// Stable identifier, used by --disable-pass, the pass.<name>.us
+  /// stats key and the `srp-run passes` listing.
   virtual std::string_view name() const = 0;
 
   /// One-line description for the `srp-run passes` listing.
@@ -128,9 +128,10 @@ public:
   const Pass *find(std::string_view Name) const;
 
   /// Runs every pass not listed in S.Config.DisabledPasses, in order.
-  /// Each pass's wall time is appended to S.Result.Timings and added to
-  /// StatsRegistry under "pass.<name>.us". Stops at the first failing
-  /// pass (S.Result.Error names it); on success sets S.Result.Ok.
+  /// Each pass's wall time is added to StatsRegistry::current() under
+  /// "pass.<name>.us", a failed pass's included. Stops at the first
+  /// failing pass (S.Result.Error names it); on success sets
+  /// S.Result.Ok.
   bool run(PipelineState &S, const PassCallback &AfterPass = nullptr);
 
 private:

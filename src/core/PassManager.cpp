@@ -37,10 +37,8 @@ bool PassManager::run(PipelineState &S, const PassCallback &AfterPass) {
       ScopedTimer T(Nanos);
       Ok = P->run(S);
     }
-    uint64_t Micros = Nanos / 1000;
-    S.Result.Timings.push_back({std::string(P->name()), Micros});
     StatsRegistry::current().add("pass." + std::string(P->name()) + ".us",
-                             Micros);
+                                 Nanos / 1000);
     if (!Ok) {
       if (S.Result.Error.empty())
         S.Result.Error = "pass '" + std::string(P->name()) + "' failed";

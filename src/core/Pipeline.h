@@ -11,7 +11,8 @@
 /// and simulate the *ref* input, reporting the pfmon-style counters.
 ///
 /// The usual experiment runs the same workload under two or more
-/// strategies and compares counters — runExperiment() packages that.
+/// strategies and compares counters — core::runExperiments
+/// (core/Experiment.h) runs such a grid.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -91,14 +92,6 @@ struct PipelineResult {
   /// TaintFlow findings on the promoted IR (empty when no speculative
   /// secret reaches a sink).
   std::vector<analysis::TaintDiag> TaintDiags;
-  /// Wall time of each pass that ran, in run order (--timing reporting).
-  /// Not a counter: timings vary run to run, so determinism comparisons
-  /// must ignore this field.
-  struct PassTiming {
-    std::string Name;
-    uint64_t Micros = 0;
-  };
-  std::vector<PassTiming> Timings;
 };
 
 class ProfileCache; // ProfileCache.h

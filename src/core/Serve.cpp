@@ -141,10 +141,9 @@ std::string fingerprintOf(const PipelineResult &R) {
 }
 
 /// Serializes a successful run into the cacheable result body. Every
-/// field is deterministic for the request's canonical key: wall-clock
-/// pass timings deliberately do not appear (PipelineResult::Timings is
-/// documented nondeterministic), so a cache hit is byte-identical to
-/// the cold run that produced it.
+/// field is deterministic for the request's canonical key (pass wall
+/// times live in the stats registry, never in PipelineResult), so a
+/// cache hit is byte-identical to the cold run that produced it.
 std::string runBody(const PipelineResult &R) {
   std::string Out;
   StringOStream OS(Out);

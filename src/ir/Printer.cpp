@@ -274,8 +274,6 @@ void srp::ir::printFunction(const Function &F, OStream &OS) {
   OS << Buffer;
 }
 
-void srp::ir::printStmt(const Stmt &S, OStream &OS) { OS << stmtToString(S); }
-
 std::string srp::ir::stmtToString(const Stmt &S) {
   std::string Buffer;
   Writer(Buffer).stmt(S);
@@ -285,12 +283,6 @@ std::string srp::ir::stmtToString(const Stmt &S) {
 std::string srp::ir::memRefToString(const MemRef &Ref) {
   std::string Buffer;
   Writer(Buffer).memRef(Ref);
-  return Buffer;
-}
-
-std::string srp::ir::operandToString(const Operand &Op) {
-  std::string Buffer;
-  Writer(Buffer).operand(Op);
   return Buffer;
 }
 

@@ -25,7 +25,6 @@ class Module;
 class Function;
 struct Stmt;
 struct MemRef;
-struct Operand;
 
 /// Prints \p M to \p OS.
 void printModule(const Module &M, OStream &OS);
@@ -33,17 +32,11 @@ void printModule(const Module &M, OStream &OS);
 /// Prints \p F to \p OS.
 void printFunction(const Function &F, OStream &OS);
 
-/// Prints one statement (no trailing newline).
-void printStmt(const Stmt &S, OStream &OS);
-
 /// Returns the statement as a string (handy in tests and traces).
 std::string stmtToString(const Stmt &S);
 
 /// Returns the memory reference as a string, e.g. "*p", "buf[t3]".
 std::string memRefToString(const MemRef &Ref);
-
-/// Returns the operand as a string, e.g. "t7", "42", "1.5f".
-std::string operandToString(const Operand &Op);
 
 /// Returns the whole module as a string.
 std::string moduleToString(const Module &M);

@@ -28,9 +28,9 @@ using namespace srp::pre;
 using namespace srp::pre::detail;
 
 PromotionStats detail::runPromotion(PromotionContext &Ctx,
-                                    StageTimings *Timings) {
+                                    StageTimings *Times) {
   StageTimings Local;
-  StageTimings &T = Timings ? *Timings : Local;
+  StageTimings &T = Times ? *Times : Local;
   {
     ScopedTimer ST(T.PhiInsertion);
     Ctx.CanonData = Ctx.H.canonicalMap(

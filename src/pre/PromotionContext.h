@@ -359,9 +359,9 @@ void applyPlan(PromotionContext &Ctx);
 void cleanupChecks(PromotionContext &Ctx);
 
 /// Promoter.cpp: runs all stages for one function and returns the stats.
-/// \p Timings, when given, receives the per-stage wall time.
+/// \p Times, when given, receives the per-stage wall time.
 PromotionStats runPromotion(PromotionContext &Ctx,
-                            StageTimings *Timings = nullptr);
+                            StageTimings *Times = nullptr);
 
 } // namespace srp::pre::detail
 

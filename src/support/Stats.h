@@ -78,8 +78,8 @@ private:
 /// captured().
 ///
 /// This is the fix for cumulative-stats reporting in long-lived
-/// processes: srp-run wraps its pipeline in a capture so --stats and
-/// --timing-json describe that run, and the serve daemon wraps each
+/// processes: srp-run wraps its pipeline in a capture so --stats
+/// describes that run, and the serve daemon wraps each
 /// request so a response's stats describe that request — not everything
 /// the process did since startup.
 ///

@@ -5,10 +5,10 @@
 // legacy per-instruction loop produces must come out of the decoded
 // stream byte-for-byte identical, including under fault injection and
 // instruction budgets (the paths where fusion and pointer-PC dispatch
-// are most at risk). These tests pin that contract over the checked-in
-// fuzz repro corpus and a wide sweep of random programs, and pin the
-// decode itself as a deterministic function of the MModule (two decodes
-// of one module memcmp equal).
+// are most at risk). These tests pin that contract over the ten standard
+// workloads, the checked-in fuzz repro corpus and a wide sweep of random
+// programs, and pin the decode itself as a deterministic function of the
+// MModule (two decodes of one module memcmp equal).
 //
 //===----------------------------------------------------------------------===//
 
@@ -22,6 +22,7 @@
 #include "ir/CFG.h"
 #include "ir/Parser.h"
 #include "pre/Promoter.h"
+#include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
 
@@ -103,14 +104,10 @@ void sweepConfigs(const codegen::MModule &MM) {
   expectParity(MM, Budget, "100-instruction budget");
 }
 
-/// Parses, promotes (ALAT strategy, static heuristics — no profiles),
-/// and lowers one .sir text. Promotion matters here: it is what puts
+/// Promotes \p M when \p Promote (ALAT strategy, static heuristics — no
+/// profiles) and lowers it. Promotion matters here: it is what puts
 /// ld.a/ld.c/chk.a and recovery blocks into the stream.
-std::unique_ptr<codegen::MModule> compileText(const std::string &Text,
-                                              bool Promote) {
-  ir::Module M;
-  std::string Error;
-  EXPECT_TRUE(ir::parseModule(Text, M, Error)) << Error;
+std::unique_ptr<codegen::MModule> compile(ir::Module &M, bool Promote) {
   for (unsigned I = 0; I < M.numFunctions(); ++I)
     M.function(I)->recomputeCFG();
   if (Promote) {
@@ -119,6 +116,15 @@ std::unique_ptr<codegen::MModule> compileText(const std::string &Text,
                        pre::PromotionConfig::alat());
   }
   return lower(M);
+}
+
+/// Parses one .sir text, then compile()s it.
+std::unique_ptr<codegen::MModule> compileText(const std::string &Text,
+                                              bool Promote) {
+  ir::Module M;
+  std::string Error;
+  EXPECT_TRUE(ir::parseModule(Text, M, Error)) << Error;
+  return compile(M, Promote);
 }
 
 /// Decoding is a pure function of the MModule: two independent decodes
@@ -137,6 +143,27 @@ TEST(DecodedModule, ByteStableDecode) {
   EXPECT_EQ(A.mainIndex(), B.mainIndex());
   EXPECT_EQ(std::memcmp(A.ops(), B.ops(), A.numOps() * sizeof(DecodedOp)),
             0);
+}
+
+/// The ten standard workloads (the programs behind the grid fingerprint)
+/// at scale 1 run identically on both engines, unpromoted and under the
+/// ALAT strategy.
+TEST(DecodedModule, StandardWorkloadParity) {
+  std::vector<core::Workload> Ws = workloads::standardWorkloads();
+  ASSERT_EQ(Ws.size(), 10u);
+  uint64_t AlatChecks = 0;
+  for (const core::Workload &W : Ws)
+    for (bool Promote : {false, true}) {
+      SCOPED_TRACE(W.Name + (Promote ? " promoted" : " unpromoted"));
+      ir::Module M;
+      W.Build(M, 1);
+      auto MM = compile(M, Promote);
+      sweepConfigs(*MM);
+      if (Promote)
+        AlatChecks += simulate(*MM, SimConfig()).Counters.AlatChecks;
+    }
+  // Promotion put speculative loads and checks into the streams compared.
+  EXPECT_GT(AlatChecks, 0u);
 }
 
 /// Every checked-in fuzzer repro — each one a minimized program that

@@ -1,10 +1,9 @@
 //===- ExperimentTest.cpp - Parallel experiment driver tests -------------------===//
 //
 // The determinism contract of core::runExperiments: a pipeline run is a
-// pure function of (workload, config), so the counters coming back must
-// be byte-identical for any thread count. PipelineResult::Timings is
-// wall-clock and explicitly excluded (see core/Pipeline.h). The paper
-// grid's summed counters are pinned to their recorded values.
+// pure function of (workload, config), so the results coming back must
+// be byte-identical for any thread count. The paper grid's summed
+// counters are pinned to their recorded values.
 //
 //===----------------------------------------------------------------------===//
 
@@ -80,8 +79,7 @@ Workload specKernel() {
   return W;
 }
 
-/// Everything of a result that must be thread-count independent (all of
-/// it except Timings).
+/// Everything of a result that must be thread-count independent.
 void expectIdentical(const PipelineResult &A, const PipelineResult &B) {
   EXPECT_EQ(A.Ok, B.Ok);
   EXPECT_EQ(A.Error, B.Error);

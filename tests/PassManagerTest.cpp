@@ -1,9 +1,9 @@
 //===- PassManagerTest.cpp - Pass manager and analysis cache tests -------------===//
 //
 // The pass-composition contract of runPipeline: the standard pass list,
-// per-pass timing in PipelineResult::Timings, --disable-pass semantics
-// (graceful diagnostics when a dependency is missing), and the analysis
-// cache's hit/invalidation behaviour.
+// run order and per-pass timing (pass.<name>.us in the stats registry),
+// --disable-pass semantics (graceful diagnostics when a dependency is
+// missing), and the analysis cache's hit/invalidation behaviour.
 //
 //===----------------------------------------------------------------------===//
 
@@ -11,9 +11,14 @@
 
 #include "ir/IRBuilder.h"
 #include "ssa/AnalysisCache.h"
+#include "support/Stats.h"
+#include "support/StringUtils.h"
 #include "workloads/LoopHelper.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <set>
 
 using namespace srp;
 using namespace srp::core;
@@ -71,27 +76,59 @@ TEST(PassManagerTest, StandardPassList) {
   EXPECT_EQ(PM.find("nonexistent"), nullptr);
 }
 
+/// One standard-pipeline run inside its own stats epoch.
+struct TimedRun {
+  PipelineResult Result;
+  std::vector<std::string> Ran;     ///< after-pass callback order
+  std::set<std::string> TimingKeys; ///< the epoch's pass.* keys
+};
+
+TimedRun runTimed(const Workload &W, const PipelineConfig &C) {
+  TimedRun T;
+  ScopedStatsCapture Capture;
+  PipelineState S;
+  S.W = &W;
+  S.Config = C;
+  PassManager PM;
+  addStandardPasses(PM);
+  PM.run(S, [&T](const Pass &P, PipelineState &) {
+    T.Ran.emplace_back(P.name());
+  });
+  for (const auto &[Key, Value] : Capture.captured().snapshot())
+    if (startsWith(Key, "pass."))
+      T.TimingKeys.insert(Key);
+  T.Result = std::move(S.Result);
+  return T;
+}
+
+std::set<std::string> timingKeys(const std::vector<std::string> &Passes) {
+  std::set<std::string> Keys;
+  for (const std::string &Name : Passes)
+    Keys.insert("pass." + Name + ".us");
+  return Keys;
+}
+
 TEST(PassManagerTest, TimingsCoverEveryPassThatRan) {
   Workload W = tinyWorkload();
-  PipelineResult R = runPipeline(W, configFor(pre::PromotionConfig::alat()));
-  ASSERT_TRUE(R.Ok) << R.Error;
-  std::vector<std::string> Expected = standardPassNames();
-  ASSERT_EQ(R.Timings.size(), Expected.size());
-  for (size_t I = 0; I < Expected.size(); ++I)
-    EXPECT_EQ(R.Timings[I].Name, Expected[I]);
+  TimedRun T = runTimed(W, configFor(pre::PromotionConfig::alat()));
+  ASSERT_TRUE(T.Result.Ok) << T.Result.Error;
+  EXPECT_EQ(T.Ran, standardPassNames());
+  EXPECT_EQ(T.TimingKeys, timingKeys(standardPassNames()));
 }
 
 TEST(PassManagerTest, DisabledPassIsSkipped) {
   Workload W = tinyWorkload();
   PipelineConfig C = configFor(pre::PromotionConfig::alat());
   C.DisabledPasses = {"promote"};
-  PipelineResult R = runPipeline(W, C);
-  ASSERT_TRUE(R.Ok) << R.Error;
-  EXPECT_EQ(R.Promotion.PromotedExprs, 0u);
-  for (const PipelineResult::PassTiming &T : R.Timings)
-    EXPECT_NE(T.Name, "promote");
+  TimedRun T = runTimed(W, C);
+  ASSERT_TRUE(T.Result.Ok) << T.Result.Error;
+  EXPECT_EQ(T.Result.Promotion.PromotedExprs, 0u);
+  std::vector<std::string> Expected = standardPassNames();
+  Expected.erase(std::find(Expected.begin(), Expected.end(), "promote"));
+  EXPECT_EQ(T.Ran, Expected);
+  EXPECT_EQ(T.TimingKeys, timingKeys(Expected));
   // The unpromoted program still simulates correctly.
-  EXPECT_EQ(R.Output, oracleOutput(W));
+  EXPECT_EQ(T.Result.Output, oracleOutput(W));
 }
 
 TEST(PassManagerTest, DisablingADependencyFailsGracefully) {

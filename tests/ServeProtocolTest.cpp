@@ -202,9 +202,9 @@ TEST(ServeProtocol, BatchKeepsOrderAndCaches) {
 // Per-request stats epochs: a request's "stats" echo describes that
 // request alone, not the process's cumulative registry. A cold compile
 // records analysis-cache work; a cached repeat of the same request
-// records none of it; and the cold epoch is identical across fresh
-// servers (modulo the wall-clock pass timings, which are the one
-// documented nondeterministic family).
+// records none of it; and the cold epoch's work counters are identical
+// across fresh servers (its *.us wall times are measurements, not
+// counters, and are not compared).
 TEST(ServeProtocol, StatsEpochIsPerRequest) {
   const char *Request =
       "{\"op\":\"run\",\"workload\":\"mcf\",\"train_scale\":1,"

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
 #include <thread>
 
@@ -79,6 +80,32 @@ TEST(StringUtilsTest, StartsWith) {
   EXPECT_TRUE(startsWith("foobar", "foo"));
   EXPECT_FALSE(startsWith("fo", "foo"));
   EXPECT_TRUE(startsWith("anything", ""));
+}
+
+TEST(StringUtilsTest, ParseUnsignedAcceptsWholeDecimals) {
+  uint64_t V = 7;
+  EXPECT_TRUE(parseUnsigned("0", V));
+  EXPECT_EQ(V, 0u);
+  EXPECT_TRUE(parseUnsigned("0042", V));
+  EXPECT_EQ(V, 42u);
+  EXPECT_TRUE(parseUnsigned("18446744073709551615", V));
+  EXPECT_EQ(V, UINT64_MAX);
+  unsigned U = 0;
+  EXPECT_TRUE(parseUnsigned("4294967295", U));
+  EXPECT_EQ(U, UINT32_MAX);
+}
+
+TEST(StringUtilsTest, ParseUnsignedRejectsAndLeavesOutAlone) {
+  uint64_t V = 7;
+  for (const char *Bad : {"", "-1", "+1", "-0", " 1", "1 ", "x", "12x",
+                          "0x10", "1.5", "18446744073709551616",
+                          "99999999999999999999999"}) {
+    EXPECT_FALSE(parseUnsigned(Bad, V)) << '"' << Bad << '"';
+    EXPECT_EQ(V, 7u) << '"' << Bad << '"';
+  }
+  unsigned U = 7;
+  EXPECT_FALSE(parseUnsigned("4294967296", U));
+  EXPECT_EQ(U, 7u);
 }
 
 TEST(RNGTest, DeterministicAcrossInstances) {
@@ -229,10 +256,9 @@ TEST(JSONReaderTest, DepthLimitStopsRecursion) {
   EXPECT_FALSE(parseJSON(std::string(5000, '['), V, Error));
 }
 
-// The stats-epoch mechanism the serve daemon and srp-run's fixed
-// --stats/--timing-json reporting rest on: a capture sees only what its
-// thread recorded while it was alive, and totals still add up after it
-// merges out.
+// The stats-epoch mechanism the serve daemon and srp-run's --stats
+// reporting rest on: a capture sees only what its thread recorded while
+// it was alive, and totals still add up after it merges out.
 TEST(StatsCaptureTest, EpochIsolatesAndMergesOut) {
   StatsRegistry &Global = StatsRegistry::get();
   uint64_t Before = Global.value("test.capture.counter");

@@ -1,26 +1,19 @@
 #!/usr/bin/env python3
-"""Compare two srp-bench/1 reports (tools/srp-bench, srp-run --timing-json).
+"""Compare the counter fingerprints of two srp-bench/1 reports
+(tools/srp-bench, srp-load --json).
 
-    bench_diff.py BASELINE.json CURRENT.json [options]
+    bench_diff.py BASELINE.json CURRENT.json
 
-Two independent gates:
+The deterministic fingerprint (sim.* / promotion.*) must be
+byte-identical: it is machine-independent, so any drift means the
+pipeline's behaviour changed, not the weather. It is compared only when
+both reports ran the same grid shape (smoke flag and workload/config
+lists); a scale mismatch skips the gate with a warning rather than
+reporting nonsense. The reports' wall-clock fields are trajectory only:
+wall-clock speed is judged by the repository benchmark (perfbench/,
+tools/perf_gate.py).
 
-  counters   The deterministic fingerprint (sim.* / promotion.*) must be
-             byte-identical: it is machine-independent, so any drift
-             means the pipeline's behaviour changed, not the weather.
-             Compared only when both reports ran the same grid shape
-             (smoke flag and workload/config lists); a scale mismatch
-             skips the gate with a warning rather than reporting
-             nonsense.
-
-  wall       wall_clock_us.{j1_p50,jn_p50} may not exceed baseline by
-             more than --max-regress (default 10%). Wall clock is only
-             meaningful between runs on the same machine — CI builds
-             the merge-base and the head on the same runner and diffs
-             those, rather than comparing against a baseline recorded
-             elsewhere.
-
-Exit status: 0 clean, 1 regression or fingerprint drift, 2 usage.
+Exit status: 0 identical, 1 fingerprint drift, 2 usage.
 """
 
 import argparse
@@ -58,99 +51,12 @@ def diff_counters(base, cur):
     return failures
 
 
-def diff_wall(base, cur, max_regress):
-    failures = []
-    bw, cw = base.get("wall_clock_us", {}), cur.get("wall_clock_us", {})
-    for key in ("j1_p50", "jn_p50"):
-        b, c = bw.get(key), cw.get(key)
-        if not b or c is None:
-            continue
-        ratio = c / b
-        marker = ""
-        if ratio > 1.0 + max_regress:
-            failures.append(
-                f"  wall {key}: {b} us -> {c} us "
-                f"({ratio:+.1%} vs +{max_regress:.0%} allowed)"
-            )
-            marker = "  <-- REGRESSION"
-        print(f"wall {key:8} {b:>10} us -> {c:>10} us  ({ratio - 1:+7.1%}){marker}")
-    return failures
-
-
-def print_pass_table(base, cur):
-    """Per-pass regression table: p50 (per pipeline run) and total
-    (accumulated over every pipeline of every repeat) wall time."""
-    bp, cp = base.get("passes", {}), cur.get("passes", {})
-    names = [n for n in bp if n in cp]
-    if not names:
-        return
-    print(
-        f"{'pass':12} {'base p50':>10} {'cur p50':>10} {'Δp50':>8}"
-        f" {'base total':>12} {'cur total':>12} {'Δtotal':>8}"
-    )
-    for name in names:
-        b, c = bp[name].get("p50_us", 0), cp[name].get("p50_us", 0)
-        bt, ct = bp[name].get("total_us", 0), cp[name].get("total_us", 0)
-        delta = f"{(c / b - 1):+7.1%}" if b else "    n/a"
-        dtotal = f"{(ct / bt - 1):+7.1%}" if bt else "    n/a"
-        print(
-            f"{name:12} {b:>10} {c:>10} {delta:>8}"
-            f" {bt:>12} {ct:>12} {dtotal:>8}"
-        )
-
-
-def gate_passes(base, cur, names, max_regress):
-    """Fails when a gated pass's p50_us exceeds baseline by more than
-    --max-regress (same-machine comparisons only, like the wall gate)."""
-    failures = []
-    bp, cp = base.get("passes", {}), cur.get("passes", {})
-    for name in names:
-        b = bp.get(name, {}).get("p50_us")
-        c = cp.get(name, {}).get("p50_us")
-        if not b or c is None:
-            print(
-                f"warning: pass gate '{name}': missing from a report; skipped",
-                file=sys.stderr,
-            )
-            continue
-        ratio = c / b
-        if ratio > 1.0 + max_regress:
-            failures.append(
-                f"  pass {name}.p50_us: {b} us -> {c} us "
-                f"({ratio - 1:+.1%} vs +{max_regress:.0%} allowed)"
-            )
-    return failures
-
-
 def main():
     ap = argparse.ArgumentParser(
-        description="diff two srp-bench/1 reports", add_help=True
+        description="diff the counter fingerprints of two srp-bench/1 reports"
     )
     ap.add_argument("baseline")
     ap.add_argument("current")
-    ap.add_argument(
-        "--max-regress",
-        type=float,
-        default=0.10,
-        metavar="FRAC",
-        help="allowed wall-clock growth (default 0.10 = 10%%)",
-    )
-    ap.add_argument(
-        "--no-wall",
-        action="store_true",
-        help="skip the wall-clock gate (cross-machine comparisons)",
-    )
-    ap.add_argument(
-        "--no-counters", action="store_true", help="skip the fingerprint gate"
-    )
-    ap.add_argument(
-        "--pass-gate",
-        action="append",
-        default=[],
-        metavar="NAME",
-        help="also gate passes.NAME.p50_us at --max-regress (repeatable; "
-        "same-machine comparisons only, like the wall gate)",
-    )
     args = ap.parse_args()
 
     base, cur = load(args.baseline), load(args.current)
@@ -164,31 +70,20 @@ def main():
     )
 
     failures = []
-    if not args.no_counters:
-        if same_grid(base, cur):
-            drift = diff_counters(base, cur)
-            if drift:
-                print("counter fingerprint DRIFTED:")
-                for line in drift:
-                    print(line)
-                failures += drift
-            else:
-                print("counter fingerprint: identical")
+    if same_grid(base, cur):
+        failures = diff_counters(base, cur)
+        if failures:
+            print("counter fingerprint DRIFTED:")
+            for line in failures:
+                print(line)
         else:
-            print(
-                "warning: grids differ (smoke/workloads/configs); "
-                "skipping the counter gate",
-                file=sys.stderr,
-            )
-
-    if not args.no_wall:
-        failures += diff_wall(base, cur, args.max_regress)
-        pass_failures = gate_passes(base, cur, args.pass_gate, args.max_regress)
-        for line in pass_failures:
-            print("pass gate REGRESSION:")
-            print(line)
-        failures += pass_failures
-        print_pass_table(base, cur)
+            print("counter fingerprint: identical")
+    else:
+        print(
+            "warning: grids differ (smoke/workloads/configs); "
+            "skipping the counter gate",
+            file=sys.stderr,
+        )
 
     if failures:
         print(f"bench_diff: FAIL ({len(failures)} gate violation(s))")

@@ -68,46 +68,33 @@ struct Options {
   bool Quiet = false;
 };
 
-bool parseU64Value(std::string_view Value, uint64_t &Out) {
-  if (Value.empty() || Value.size() > 19)
-    return false;
-  uint64_t V = 0;
-  for (char C : Value) {
-    if (C < '0' || C > '9')
-      return false;
-    V = V * 10 + static_cast<uint64_t>(C - '0');
-  }
-  Out = V;
-  return true;
-}
-
 bool parseArgs(int Argc, char **Argv, Options &Opts) {
   bool SecondsSet = false;
   for (int I = 1; I < Argc; ++I) {
     std::string_view Arg = Argv[I];
     uint64_t V = 0;
     if (startsWith(Arg, "--iterations=")) {
-      if (!parseU64Value(Arg.substr(13), Opts.Fuzz.Iterations))
+      if (!parseUnsigned(Arg.substr(13), Opts.Fuzz.Iterations))
         return false;
     } else if (startsWith(Arg, "--seconds=")) {
-      if (!parseU64Value(Arg.substr(10), Opts.Fuzz.Seconds))
+      if (!parseUnsigned(Arg.substr(10), Opts.Fuzz.Seconds))
         return false;
       SecondsSet = true;
     } else if (startsWith(Arg, "-j")) {
-      if (!parseU64Value(Arg.substr(2), V) || V == 0 || V > 1024)
+      if (!parseUnsigned(Arg.substr(2), V) || V == 0 || V > 1024)
         return false;
       Opts.Fuzz.Threads = static_cast<unsigned>(V);
     } else if (startsWith(Arg, "--threads=")) {
-      if (!parseU64Value(Arg.substr(10), V) || V == 0 || V > 1024)
+      if (!parseUnsigned(Arg.substr(10), V) || V == 0 || V > 1024)
         return false;
       Opts.Fuzz.Threads = static_cast<unsigned>(V);
     } else if (startsWith(Arg, "--seed=")) {
-      if (!parseU64Value(Arg.substr(7), Opts.Fuzz.Seed))
+      if (!parseUnsigned(Arg.substr(7), Opts.Fuzz.Seed))
         return false;
     } else if (Arg == "--no-faults") {
       Opts.Fuzz.WithFaults = false;
     } else if (startsWith(Arg, "--fault-plans=")) {
-      if (!parseU64Value(Arg.substr(14), V) || V == 0 || V > 16)
+      if (!parseUnsigned(Arg.substr(14), V) || V == 0 || V > 16)
         return false;
       Opts.Fuzz.FaultPlansPerProgram = static_cast<unsigned>(V);
     } else if (Arg == "--no-minimize") {
@@ -115,7 +102,7 @@ bool parseArgs(int Argc, char **Argv, Options &Opts) {
     } else if (startsWith(Arg, "--repro-dir=")) {
       Opts.Fuzz.ReproDir = std::string(Arg.substr(12));
     } else if (startsWith(Arg, "--max-findings=")) {
-      if (!parseU64Value(Arg.substr(15), V))
+      if (!parseUnsigned(Arg.substr(15), V))
         return false;
       Opts.Fuzz.MaxFindings = static_cast<size_t>(V);
     } else if (Arg == "--taint") {

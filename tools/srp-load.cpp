@@ -62,23 +62,6 @@ struct Options {
   bool Shutdown = false;      ///< send a shutdown op when done
 };
 
-bool startsWith(std::string_view S, std::string_view Prefix) {
-  return S.substr(0, Prefix.size()) == Prefix;
-}
-
-bool parseUnsignedValue(std::string_view Value, uint64_t &Out) {
-  if (Value.empty() || Value.size() > 12)
-    return false;
-  uint64_t V = 0;
-  for (char C : Value) {
-    if (C < '0' || C > '9')
-      return false;
-    V = V * 10 + static_cast<uint64_t>(C - '0');
-  }
-  Out = V;
-  return true;
-}
-
 void usage(std::FILE *To) {
   std::fputs(
       "usage: srp-load --connect=unix:PATH|tcp:PORT [options]\n"
@@ -102,20 +85,20 @@ bool parseArgs(int Argc, char **Argv, Options &Opts) {
     if (startsWith(Arg, "--connect=")) {
       Opts.Connect = std::string(Arg.substr(10));
     } else if (startsWith(Arg, "--threads=")) {
-      if (!parseUnsignedValue(Arg.substr(10), Value) || Value == 0 ||
+      if (!parseUnsigned(Arg.substr(10), Value) || Value == 0 ||
           Value > 256)
         return false;
       Opts.Threads = static_cast<unsigned>(Value);
     } else if (startsWith(Arg, "--requests=")) {
-      if (!parseUnsignedValue(Arg.substr(11), Value) || Value == 0)
+      if (!parseUnsigned(Arg.substr(11), Value) || Value == 0)
         return false;
       Opts.WarmRequests = static_cast<unsigned>(Value);
     } else if (startsWith(Arg, "--malformed-pct=")) {
-      if (!parseUnsignedValue(Arg.substr(16), Value) || Value > 100)
+      if (!parseUnsigned(Arg.substr(16), Value) || Value > 100)
         return false;
       Opts.MalformedPct = static_cast<unsigned>(Value);
     } else if (startsWith(Arg, "--seed=")) {
-      if (!parseUnsignedValue(Arg.substr(7), Opts.Seed))
+      if (!parseUnsigned(Arg.substr(7), Opts.Seed))
         return false;
     } else if (startsWith(Arg, "--json=")) {
       Opts.JsonPath = std::string(Arg.substr(7));
@@ -499,8 +482,8 @@ int main(int Argc, char **Argv) {
     W.endArray();
     W.endObject();
     // j1_p50 = cold per-request p50 (one pipeline run each); jn_p50 =
-    // warm per-request p50 (mostly cache hits) — the pair bench_diff's
-    // wall gate watches, and their ratio is the serving speedup.
+    // warm per-request p50 (mostly cache hits); their ratio is the
+    // serving speedup. Trajectory only: nothing gates wall clock here.
     W.key("wall_clock_us");
     W.beginObject();
     W.key("j1_p50").value(ColdP50);

@@ -13,11 +13,8 @@
 //     --sta              enable the st.a extension (§2.5)
 //     --no-profile       collect but don't feed back the alias profile
 //     --disable-pass=N   skip the pass named N (repeatable; see passes)
-//     --timing           per-pass wall-time breakdown (stderr)
-//     --timing-json=F    write the breakdown as JSON to F (the
-//                        srp-bench/1 report schema with a 1-pipeline
-//                        grid, so bench_diff.py can compare runs)
-//     --stats            dump the statistics registry (stderr)
+//     --stats            dump the run's statistics registry (stderr),
+//                        pass.<name>.us wall times included
 //     --print-ir         print the promoted IR
 //     --print-asm        print the ITA assembly
 //     --alat-entries=N   ALAT geometry overrides
@@ -60,11 +57,9 @@
 #include "ir/Parser.h"
 #include "ir/Printer.h"
 #include "ir/Verifier.h"
-#include "support/JSON.h"
 #include "support/OStream.h"
 #include "support/Stats.h"
 #include "support/StringUtils.h"
-#include "support/Timer.h"
 
 #include <algorithm>
 #include <cstdio>
@@ -84,10 +79,7 @@ struct Options {
   bool UseProfile = true;
   bool PrintIR = false;
   bool PrintAsm = false;
-  bool Timing = false;
   bool Stats = false;
-  std::string TimingJsonPath;
-  std::string StrategyName = "alat";
   std::vector<std::string> DisabledPasses;
   arch::SimConfig Sim;
   // Lint-mode (srp-run lint ...) options.
@@ -97,22 +89,6 @@ struct Options {
   bool Taint = false;      ///< run the secret-taint dataflow too
   std::string WitnessDir;  ///< emit proof-witness JSON here (implies taint)
 };
-
-/// Strict decimal parse for --opt=N values. Rejects empty, non-digit,
-/// and overflowing input — atoi's silent 0 turned typos into degenerate
-/// ALAT geometries.
-bool parseUnsignedValue(std::string_view Value, unsigned &Out) {
-  if (Value.empty() || Value.size() > 9)
-    return false;
-  unsigned V = 0;
-  for (char C : Value) {
-    if (C < '0' || C > '9')
-      return false;
-    V = V * 10 + static_cast<unsigned>(C - '0');
-  }
-  Out = V;
-  return true;
-}
 
 bool parseArgs(int Argc, char **Argv, Options &Opts) {
   int First = 1;
@@ -136,16 +112,12 @@ bool parseArgs(int Argc, char **Argv, Options &Opts) {
         return false;
       }
     }
-    else if (Arg == "--strategy=conservative") {
+    else if (Arg == "--strategy=conservative")
       Opts.Promotion = pre::PromotionConfig::conservative();
-      Opts.StrategyName = "conservative";
-    } else if (Arg == "--strategy=baseline") {
+    else if (Arg == "--strategy=baseline")
       Opts.Promotion = pre::PromotionConfig::baselineO3();
-      Opts.StrategyName = "baseline";
-    } else if (Arg == "--strategy=alat") {
+    else if (Arg == "--strategy=alat")
       Opts.Promotion = pre::PromotionConfig::alat();
-      Opts.StrategyName = "alat";
-    }
     else if (Arg == "--cascade")
       Opts.Promotion.EnableCascade = true;
     else if (Arg == "--sta") {
@@ -157,27 +129,18 @@ bool parseArgs(int Argc, char **Argv, Options &Opts) {
       Opts.PrintIR = true;
     else if (Arg == "--print-asm")
       Opts.PrintAsm = true;
-    else if (Arg == "--timing")
-      Opts.Timing = true;
-    else if (startsWith(Arg, "--timing-json=")) {
-      Opts.TimingJsonPath = Arg.substr(14);
-      if (Opts.TimingJsonPath.empty()) {
-        errs() << "empty path in '--timing-json='\n";
-        return false;
-      }
-    }
     else if (Arg == "--stats")
       Opts.Stats = true;
     else if (startsWith(Arg, "--disable-pass="))
       Opts.DisabledPasses.emplace_back(Arg.substr(15));
     else if (startsWith(Arg, "--alat-entries=")) {
-      if (!parseUnsignedValue(Arg.substr(15), Opts.Sim.Alat.Entries)) {
+      if (!parseUnsigned(Arg.substr(15), Opts.Sim.Alat.Entries)) {
         errs() << "invalid value in '" << Arg
                << "' (expected a decimal integer)\n";
         return false;
       }
     } else if (startsWith(Arg, "--alat-tag-bits=")) {
-      if (!parseUnsignedValue(Arg.substr(16), Opts.Sim.Alat.PartialTagBits)) {
+      if (!parseUnsigned(Arg.substr(16), Opts.Sim.Alat.PartialTagBits)) {
         errs() << "invalid value in '" << Arg
                << "' (expected a decimal integer)\n";
         return false;
@@ -368,84 +331,6 @@ int runLint(ir::Module &M, const Options &Opts) {
   return 0;
 }
 
-/// --timing-json: one pipeline reported in the srp-bench/1 schema (see
-/// DESIGN.md §7), so tools/bench_diff.py can diff an srp-run invocation
-/// against another run or a recorded baseline. The grid is a single
-/// workload (the input file) under a single config (the strategy), the
-/// wall-clock medians are the one measured pipeline wall time, and each
-/// pass's p50 is its single sample.
-bool writeTimingJson(const Options &Opts, const core::PipelineState &S,
-                     uint64_t WallUs, const StatsRegistry &SR) {
-  std::FILE *File = std::fopen(Opts.TimingJsonPath.c_str(), "wb");
-  if (!File) {
-    errs() << "cannot write '" << Opts.TimingJsonPath << "'\n";
-    return false;
-  }
-  FileOStream OS(File);
-  JSONWriter W(OS);
-  W.beginObject();
-  W.key("schema").value("srp-bench/1");
-  W.key("label").value("srp-run");
-  W.key("smoke").value(false);
-  W.key("repeat").value(1);
-  W.key("grid");
-  {
-    W.beginObject();
-    W.key("pipelines").value(uint64_t(1));
-    W.key("workloads").beginArray().value(inputStem(Opts.InputPath)).endArray();
-    W.key("configs").beginArray().value(Opts.StrategyName).endArray();
-    W.endObject();
-  }
-  W.key("wall_clock_us");
-  {
-    W.beginObject();
-    W.key("j1_p50").value(WallUs);
-    W.key("jn_p50").value(WallUs);
-    W.key("threads").value(1);
-    W.endObject();
-  }
-  W.key("passes");
-  {
-    W.beginObject();
-    for (const core::PipelineResult::PassTiming &T : S.Result.Timings) {
-      W.key(T.Name);
-      W.beginObject();
-      W.key("p50_us").value(T.Micros);
-      W.key("total_us").value(T.Micros);
-      W.endObject();
-    }
-    W.endObject();
-  }
-  W.key("counters");
-  {
-    const arch::PerfCounters &C = S.Result.Sim.Counters;
-    const pre::PromotionStats &P = S.Result.Promotion;
-    W.beginObject();
-    W.key("sim.cycles").value(C.Cycles);
-    W.key("sim.instructions").value(C.Instructions);
-    W.key("sim.retired_loads").value(C.RetiredLoads);
-    W.key("promotion.exprs").value(P.PromotedExprs);
-    W.key("promotion.loads_removed").value(P.loadsRemoved());
-    W.key("promotion.checks").value(P.ChecksInserted + P.CascadeChecks);
-    W.endObject();
-  }
-  W.key("stats");
-  {
-    W.beginObject();
-    for (const char *Key :
-         {"analysis.cache.hits", "analysis.cache.misses",
-          "analysis.cache.invalidations", "alloc.arena.bytes",
-          "alloc.arena.slabs", "alloc.arena.resets"})
-      W.key(Key).value(SR.value(Key));
-    W.endObject();
-  }
-  W.endObject();
-  OS << "\n";
-  OS.flush();
-  std::fclose(File);
-  return true;
-}
-
 bool readFile(const std::string &Path, std::string &Out) {
   std::FILE *File = std::fopen(Path.c_str(), "rb");
   if (!File)
@@ -512,41 +397,24 @@ int main(int Argc, char **Argv) {
       codegen::printMModule(*St.MM, outs());
     }
   };
-  // The run's stats epoch: --stats and --timing-json describe this
-  // pipeline, not everything the process recorded since startup (the
-  // registry is cumulative and a long-lived embedder may have run many
-  // pipelines before this one). The capture merges into the global
-  // registry when it dies, so process totals still add up.
+  // The run's stats epoch: --stats describes this pipeline, not
+  // everything the process recorded since startup (the registry is
+  // cumulative and a long-lived embedder may have run many pipelines
+  // before this one). The capture merges into the global registry when
+  // it dies, so process totals still add up.
   ScopedStatsCapture Capture;
-  uint64_t WallNs = 0;
-  bool Ok;
-  {
-    ScopedTimer Wall(WallNs);
-    Ok = PM.run(S, AfterPass);
-  }
-  const uint64_t WallUs = WallNs / 1000;
+  bool Ok = PM.run(S, AfterPass);
 
-  auto ReportObservability = [&Opts, &S, &M, WallUs, &Capture] {
+  auto ReportObservability = [&Opts, &S, &M, &Capture] {
+    if (!Opts.Stats)
+      return;
     // Live arenas haven't published yet (stats normally post at arena
-    // teardown); flush so the report and JSON see real totals.
-    if (Opts.Stats || !Opts.TimingJsonPath.empty()) {
-      M.arena().flushStats();
-      if (S.MM)
-        S.MM->arena().flushStats();
-    }
-    if (!Opts.TimingJsonPath.empty())
-      writeTimingJson(Opts, S, WallUs, Capture.captured());
-    if (Opts.Timing) {
-      errs() << "--- pass timing (us) ---\n";
-      for (const core::PipelineResult::PassTiming &T : S.Result.Timings)
-        errs() << formatString("  %10llu  %s\n",
-                               (unsigned long long)T.Micros,
-                               T.Name.c_str());
-    }
-    if (Opts.Stats) {
-      errs() << "--- stats ---\n";
-      Capture.captured().report(errs());
-    }
+    // teardown); flush so the report sees real totals.
+    M.arena().flushStats();
+    if (S.MM)
+      S.MM->arena().flushStats();
+    errs() << "--- stats ---\n";
+    Capture.captured().report(errs());
   };
 
   if (!Ok) {

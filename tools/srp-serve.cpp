@@ -21,8 +21,10 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/Serve.h"
+#include "support/StringUtils.h"
 #include "workloads/Workloads.h"
 
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -42,25 +44,6 @@ struct Options {
   std::string Where;
   core::ServeOptions Serve;
 };
-
-bool startsWith(std::string_view S, std::string_view Prefix) {
-  return S.substr(0, Prefix.size()) == Prefix;
-}
-
-/// Strict decimal parse (see srp-run): rejects empty, non-digit and
-/// overlong input instead of silently reading 0.
-bool parseUnsignedValue(std::string_view Value, uint64_t &Out) {
-  if (Value.empty() || Value.size() > 12)
-    return false;
-  uint64_t V = 0;
-  for (char C : Value) {
-    if (C < '0' || C > '9')
-      return false;
-    V = V * 10 + static_cast<uint64_t>(C - '0');
-  }
-  Out = V;
-  return true;
-}
 
 void usage(std::FILE *To) {
   std::fputs(
@@ -90,7 +73,7 @@ bool parseArgs(int Argc, char **Argv, Options &Opts) {
     if (Arg == "--stdio") {
       Opts.Endpoint.clear();
     } else if (startsWith(Arg, "--tcp=")) {
-      if (!parseUnsignedValue(Arg.substr(6), Value) || Value == 0 ||
+      if (!parseUnsigned(Arg.substr(6), Value) || Value == 0 ||
           Value > 65535) {
         std::fprintf(stderr, "srp-serve: bad --tcp port\n");
         return false;
@@ -105,24 +88,25 @@ bool parseArgs(int Argc, char **Argv, Options &Opts) {
         return false;
       }
     } else if (startsWith(Arg, "-j")) {
-      if (!parseUnsignedValue(Arg.substr(2), Value) || Value == 0) {
+      if (!parseUnsigned(Arg.substr(2), Value) || Value == 0) {
         std::fprintf(stderr, "srp-serve: bad -jN\n");
         return false;
       }
       Opts.Serve.Threads = static_cast<unsigned>(Value);
     } else if (startsWith(Arg, "--cache-mb=")) {
-      if (!parseUnsignedValue(Arg.substr(11), CacheMb) || CacheMb == 0) {
+      if (!parseUnsigned(Arg.substr(11), CacheMb) || CacheMb == 0 ||
+          CacheMb > (SIZE_MAX >> 20)) {
         std::fprintf(stderr, "srp-serve: bad --cache-mb\n");
         return false;
       }
     } else if (startsWith(Arg, "--max-scale=")) {
-      if (!parseUnsignedValue(Arg.substr(12), Opts.Serve.MaxScale) ||
+      if (!parseUnsigned(Arg.substr(12), Opts.Serve.MaxScale) ||
           Opts.Serve.MaxScale == 0) {
         std::fprintf(stderr, "srp-serve: bad --max-scale\n");
         return false;
       }
     } else if (startsWith(Arg, "--fuel=")) {
-      if (!parseUnsignedValue(Arg.substr(7), Opts.Serve.InterpFuel) ||
+      if (!parseUnsigned(Arg.substr(7), Opts.Serve.InterpFuel) ||
           Opts.Serve.InterpFuel == 0) {
         std::fprintf(stderr, "srp-serve: bad --fuel\n");
         return false;
