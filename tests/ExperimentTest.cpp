@@ -165,14 +165,32 @@ TEST(ExperimentTest, GridFingerprintIsPinned) {
   Opts.Threads = 4;
   uint64_t Cycles = 0, Instructions = 0, Loads = 0;
   unsigned Exprs = 0, LoadsRemoved = 0, Checks = 0;
+  // The statistics the headline fingerprint does not sum: the cache
+  // hierarchy's hit/miss split, the load-stall cycles it charges, the
+  // store count, and the ALAT's event counts.
+  arch::PerfCounters Mem;
+  arch::AlatStats Alat;
   for (const PipelineResult &R : runExperiments(Exps, Opts)) {
     EXPECT_TRUE(R.Ok) << R.Error;
-    Cycles += R.Sim.Counters.Cycles;
-    Instructions += R.Sim.Counters.Instructions;
-    Loads += R.Sim.Counters.RetiredLoads;
+    const arch::PerfCounters &C = R.Sim.Counters;
+    Cycles += C.Cycles;
+    Instructions += C.Instructions;
+    Loads += C.RetiredLoads;
     Exprs += R.Promotion.PromotedExprs;
     LoadsRemoved += R.Promotion.loadsRemoved();
     Checks += R.Promotion.ChecksInserted + R.Promotion.CascadeChecks;
+    Mem.L1Hits += C.L1Hits;
+    Mem.L1Misses += C.L1Misses;
+    Mem.L2Hits += C.L2Hits;
+    Mem.L2Misses += C.L2Misses;
+    Mem.DataAccessCycles += C.DataAccessCycles;
+    Mem.RetiredStores += C.RetiredStores;
+    Alat.Allocations += R.Sim.Alat.Allocations;
+    Alat.Invalidations += R.Sim.Alat.Invalidations;
+    Alat.FalseInvalidations += R.Sim.Alat.FalseInvalidations;
+    Alat.CapacityEvictions += R.Sim.Alat.CapacityEvictions;
+    Alat.CheckHits += R.Sim.Alat.CheckHits;
+    Alat.CheckMisses += R.Sim.Alat.CheckMisses;
   }
   EXPECT_EQ(formatString("%llu/%llu/%llu|%u-%u-%u",
                          (unsigned long long)Cycles,
@@ -180,6 +198,23 @@ TEST(ExperimentTest, GridFingerprintIsPinned) {
                          (unsigned long long)Loads, Exprs, LoadsRemoved,
                          Checks),
             "3701473/5465971/1277609|122-275-23");
+  EXPECT_EQ(formatString("L1 %llu/%llu L2 %llu/%llu data %llu stores %llu",
+                         (unsigned long long)Mem.L1Hits,
+                         (unsigned long long)Mem.L1Misses,
+                         (unsigned long long)Mem.L2Hits,
+                         (unsigned long long)Mem.L2Misses,
+                         (unsigned long long)Mem.DataAccessCycles,
+                         (unsigned long long)Mem.RetiredStores),
+            "L1 1139676/714 L2 137816/117 data 1810296 stores 1067229");
+  EXPECT_EQ(formatString("alat alloc %llu inval %llu false %llu cap %llu "
+                         "check %llu/%llu",
+                         (unsigned long long)Alat.Allocations,
+                         (unsigned long long)Alat.Invalidations,
+                         (unsigned long long)Alat.FalseInvalidations,
+                         (unsigned long long)Alat.CapacityEvictions,
+                         (unsigned long long)Alat.CheckHits,
+                         (unsigned long long)Alat.CheckMisses),
+            "alat alloc 53538 inval 12529 false 0 cap 0 check 160005/277");
 }
 
 TEST(ExperimentTest, ResultsComeBackInInputOrder) {
