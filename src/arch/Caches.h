@@ -11,316 +11,157 @@
 /// least the 9-cycle L2 latency — which is why the FP benchmarks gain the
 /// most from eliminated loads (§4).
 ///
+/// The geometry is fixed at compile time (L1 16 KiB 4-way, L2 96 KiB
+/// 6-way, L3 2 MiB 4-way, 64-byte lines). Each set holds its line keys
+/// in recency order, most recent first, so replacement is exact LRU
+/// without stamps: a touch moves the key to the front and a miss drops
+/// the last slot.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef SRP_ARCH_CACHES_H
 #define SRP_ARCH_CACHES_H
 
-#include <cstddef>
 #include <cstdint>
-#include <type_traits>
+#include <cstring>
 
 namespace srp::arch {
 
-/// One set-associative level with LRU replacement.
+constexpr unsigned CacheLineBytes = 64;
+
+/// One set-associative level of \p SizeBytes with \p Ways ways and LRU
+/// replacement. A key is the line address plus one, so 0 marks an empty
+/// slot; empty slots sit behind every resident key, so dropping the last
+/// slot fills an empty way before it evicts.
 ///
-/// Storage comes from a thread-local bundle pool: a hierarchy is built
-/// per simulated run, and handing the 512 KiB L3 line array back to the
-/// allocator between runs made every run re-fault its pages. Pooled
-/// buffers stay resident; small levels (\p LazySets false) are memset on
-/// acquisition, while sparse levels validate sets lazily against a
-/// per-set epoch (no per-run initialization at all — the epoch compare
-/// rides only on paths that already missed the level above).
+/// A \p Lazy level does not zero its keys on construction. It clears a
+/// set on the first touch instead, tracked by one bit per set: L3's
+/// 256 KiB of keys are built per simulated run, and a short program
+/// touches a handful of its sets.
+template <uint64_t SizeBytes, unsigned Ways, bool Lazy = false>
 class CacheLevel {
+  static constexpr unsigned Sets = SizeBytes / CacheLineBytes / Ways;
+  static_assert(Ways >= 2 && Sets >= 1 && (Sets & (Sets - 1)) == 0,
+                "two or more ways and a power-of-two set count");
+
 public:
-  CacheLevel(uint64_t SizeBytes, unsigned Ways, unsigned LineBytes,
-             bool LazySets = false);
-  ~CacheLevel();
-  CacheLevel(const CacheLevel &) = delete;
-  CacheLevel &operator=(const CacheLevel &) = delete;
+  CacheLevel() {
+    if constexpr (Lazy)
+      std::memset(Cleared, 0, sizeof(Cleared));
+    else
+      std::memset(Keys, 0, sizeof(Keys));
+  }
 
   /// True on hit; on miss the line is installed (possibly evicting LRU).
-  /// Header-inline per-set MRU fast path (one compare against the way
-  /// this set hit last, no way scan) in front of the scan: the simulator
-  /// calls this per retired load, and unlike a single global MRU entry
-  /// the per-set way survives strided and alternating access patterns.
-  ///
-  /// The fast path skips the Clock bump and the Lru re-stamp entirely.
-  /// That is replacement-exact, not approximate: every path that stamps
-  /// a line also makes it the set's MRU way, so the MRU line always
-  /// carries its set's *maximal* stamp, and re-stamping the maximum
-  /// changes no within-set comparison. Victim choice only ever compares
-  /// stamps within one set (ties are impossible — scan-path stamps each
-  /// draw a fresh ++Clock), so hit/miss sequences and counters are
-  /// byte-identical to the always-stamping model.
   bool access(uint64_t Addr) {
-    unsigned Set = indexOf(Addr);
-    uint64_t Key = tagOf(Addr) + 1;
-    if (Lines && (!LazySets || SetEpoch[Set] == Epoch)) {
-      Line &L = Lines[static_cast<size_t>(Set) * Ways + MruWay[Set]];
-      if (L.TagP1 == Key) {
-        ++Hits;
-        return true;
-      }
-    }
-    ++Clock;
-    return accessScan(Set, Key);
+    uint64_t *S = set(Addr);
+    uint64_t Key = keyOf(Addr);
+    bool Hit = S[0] == Key || moveToFront(S, Key);
+    ++(Hit ? Hits : Misses);
+    return Hit;
   }
 
   /// Installs a line without reporting hit/miss (used on write-allocate).
   void install(uint64_t Addr) {
-    unsigned Set = indexOf(Addr);
-    uint64_t Key = tagOf(Addr) + 1;
-    if (Lines && (!LazySets || SetEpoch[Set] == Epoch)) {
-      Line &L = Lines[static_cast<size_t>(Set) * Ways + MruWay[Set]];
-      if (L.TagP1 == Key)
-        return; // MRU line already holds the set's maximal stamp.
-    }
-    ++Clock;
-    installScan(Set, Key);
+    uint64_t *S = set(Addr);
+    uint64_t Key = keyOf(Addr);
+    if (S[0] != Key)
+      moveToFront(S, Key);
   }
 
-  /// True without installing.
-  bool probe(uint64_t Addr) const;
-
-  /// probe-then-install-if-present in one scan: refreshes the line's LRU
-  /// stamp when resident, does nothing (and leaves Clock untouched, like
-  /// a miss-side probe) when not. Equivalent to
-  /// `if (probe(A)) install(A);` without the second way scan.
+  /// Makes a resident line the most recent in its set; installs nothing.
   void refresh(uint64_t Addr) {
-    if (!Lines) // nothing resident yet; refresh never installs
+    uint64_t *S = set(Addr);
+    uint64_t Key = keyOf(Addr);
+    if (S[0] == Key)
       return;
-    unsigned Set = indexOf(Addr);
-    if (LazySets && SetEpoch[Set] != Epoch)
-      return; // set untouched this run: no line to refresh
-    uint64_t Key = tagOf(Addr) + 1;
-    Line &L = Lines[static_cast<size_t>(Set) * Ways + MruWay[Set]];
-    if (L.TagP1 == Key)
-      return; // MRU line already holds the set's maximal stamp.
-    // Stores mostly miss this level, and a refresh miss is a no-op; the
-    // negative MRU below remembers the last line confirmed absent. It is
-    // cleared whenever a line is installed (the only way a line can
-    // appear), so a negative hit is always still a miss.
-    if (Set == NegSet && Key == NegKey)
-      return;
-    refreshScan(Set, Key);
+    for (unsigned W = 1; W < Ways; ++W)
+      if (S[W] == Key) {
+        shiftAndPlace(S, W, Key);
+        return;
+      }
+  }
+
+  /// True without installing or reordering.
+  bool probe(uint64_t Addr) {
+    const uint64_t *S = set(Addr);
+    for (unsigned W = 0; W < Ways; ++W)
+      if (S[W] == keyOf(Addr))
+        return true;
+    return false;
   }
 
   uint64_t hits() const { return Hits; }
   uint64_t misses() const { return Misses; }
 
 private:
-  /// 16 bytes, so a 4-way set is one host cache line. Holds the tag
-  /// *plus one* so that all-zero means "invalid line, never stamped":
-  /// the line array is calloc'd and never eagerly initialized, making an
-  /// untouched set cost nothing (L3 is 512 KiB of lines per simulated
-  /// run, nearly all of which short programs never reach — the eager
-  /// zero-fill was ~18% of simulate time). Real tags are below 2^61, so
-  /// the +1 never wraps. A trivial implicit-lifetime type on purpose:
-  /// calloc'd zero pages are valid objects in their initial state.
-  struct Line {
-    uint64_t TagP1; ///< tagOf(Addr) + 1; 0 = invalid.
-    uint64_t Lru;
-    bool valid() const { return TagP1 != 0; }
-  };
-  static_assert(std::is_trivial_v<Line> && sizeof(Line) == 16,
-                "Line must stay a calloc-compatible 16-byte POD");
+  static uint64_t keyOf(uint64_t Addr) { return Addr / CacheLineBytes + 1; }
 
-  // Every simulated load runs indexOf/tagOf on up to three levels; with
-  // the usual power-of-two line size and set count they are shifts and
-  // masks (precomputed in the constructor), with a divide fallback for
-  // odd geometries.
-  unsigned indexOf(uint64_t Addr) const {
-    if (Pow2Geometry)
-      return static_cast<unsigned>((Addr >> LineShift) & (NumSets - 1));
-    return static_cast<unsigned>((Addr / LineBytes) % NumSets);
-  }
-  uint64_t tagOf(uint64_t Addr) const {
-    if (Pow2Geometry)
-      return Addr >> (LineShift + SetShift);
-    return Addr / LineBytes / NumSets;
-  }
-
-  // The way scans, header-inline: the MRU fast path misses often enough
-  // on pointer-chasing workloads (gzip's hash chains) that the scans run
-  // tens of millions of times per bench run, and the cross-TU call was
-  // itself a top profile entry. Hit checks exit early; the victim chain
-  // only evaluates for ways before the hit.
-  bool accessScan(unsigned Set, uint64_t Key) {
-    materialize();
-    ensureSet(Set);
-    NegSet = ~0u; // a miss installs a line; drop the negative MRU
-    NegKey = 0;
-    Line *const SetBase = &Lines[static_cast<size_t>(Set) * Ways];
-    unsigned VictimW = 0;
-    Line *Victim = nullptr;
-    for (unsigned W = 0; W < Ways; ++W) {
-      Line &L = SetBase[W];
-      if (L.TagP1 == Key) {
-        L.Lru = Clock;
-        ++Hits;
-        MruWay[Set] = static_cast<uint8_t>(W);
-        return true;
-      }
-      if (!Victim || !L.valid() || (Victim->valid() && L.Lru < Victim->Lru)) {
-        Victim = &L;
-        VictimW = W;
+  uint64_t *set(uint64_t Addr) {
+    unsigned Idx = (Addr / CacheLineBytes) & (Sets - 1);
+    if constexpr (Lazy) {
+      uint64_t Bit = uint64_t(1) << (Idx % 64);
+      if (!(Cleared[Idx / 64] & Bit)) {
+        Cleared[Idx / 64] |= Bit;
+        std::memset(Keys[Idx], 0, sizeof(Keys[Idx]));
       }
     }
-    ++Misses;
-    Victim->TagP1 = Key;
-    Victim->Lru = Clock;
-    MruWay[Set] = static_cast<uint8_t>(VictimW);
-    return false;
-  }
-  void installScan(unsigned Set, uint64_t Key) {
-    materialize();
-    ensureSet(Set);
-    NegSet = ~0u;
-    NegKey = 0;
-    Line *const SetBase = &Lines[static_cast<size_t>(Set) * Ways];
-    unsigned VictimW = 0;
-    Line *Victim = nullptr;
-    for (unsigned W = 0; W < Ways; ++W) {
-      Line &L = SetBase[W];
-      if (L.TagP1 == Key) {
-        L.Lru = Clock;
-        MruWay[Set] = static_cast<uint8_t>(W);
-        return;
-      }
-      if (!Victim || !L.valid() || (Victim->valid() && L.Lru < Victim->Lru)) {
-        Victim = &L;
-        VictimW = W;
-      }
-    }
-    Victim->TagP1 = Key;
-    Victim->Lru = Clock;
-    MruWay[Set] = static_cast<uint8_t>(VictimW);
-  }
-  void refreshScan(unsigned Set, uint64_t Key) {
-    for (unsigned W = 0; W < Ways; ++W) {
-      Line &L = Lines[static_cast<size_t>(Set) * Ways + W];
-      if (L.TagP1 == Key) {
-        L.Lru = ++Clock;
-        MruWay[Set] = static_cast<uint8_t>(W);
-        return;
-      }
-    }
-    NegSet = Set;
-    NegKey = Key;
+    return Keys[Idx];
   }
 
-  /// Storage is acquired on first use (a hierarchy is built per
-  /// simulated run) from the thread-local bundle pool (Caches.cpp).
-  /// For a non-lazy level the line array arrives zeroed (fresh calloc
-  /// or memset of resident pages); for a lazy level nothing is zeroed
-  /// and ensureSet() initializes each set on its first scan. Either
-  /// way, Line's all-zero state is its invalid initial state, so a
-  /// never-touched set costs nothing (L3 is 512 KiB of lines per
-  /// simulated run, nearly all of which short programs never reach —
-  /// an eager zero-fill measured ~18% of simulate time).
-  void materialize() {
-    if (!Lines)
-      acquireStorage();
+  /// Moves \p Key to slot 0 from wherever it sits in 1..Ways-1, or from
+  /// past the end on a miss, in which case the last slot drops out.
+  /// Returns whether the key was resident.
+  static bool moveToFront(uint64_t *S, uint64_t Key) {
+    unsigned W = 1;
+    while (W < Ways - 1 && S[W] != Key)
+      ++W;
+    bool Hit = S[W] == Key;
+    shiftAndPlace(S, W, Key);
+    return Hit;
   }
 
-  /// Lazy-set validation: a set whose epoch is stale holds garbage from
-  /// a previous owner of the pooled buffer; zero its ways (all-invalid)
-  /// before the first scan touches it. Stale MruWay values are always
-  /// in-range for this geometry (the pool matches bundles by
-  /// NumSets×Ways), and an all-invalid set can never false-hit the MRU
-  /// fast path, so only the epoch compare itself guards correctness.
-  void ensureSet(unsigned Set) {
-    if (LazySets && SetEpoch[Set] != Epoch) {
-      Line *const SetBase = &Lines[static_cast<size_t>(Set) * Ways];
-      for (unsigned W = 0; W < Ways; ++W)
-        SetBase[W] = Line{0, 0};
-      MruWay[Set] = 0;
-      SetEpoch[Set] = Epoch;
-    }
+  /// Slides slots 0..W-1 down one (overwriting slot W) and puts \p Key
+  /// in slot 0.
+  static void shiftAndPlace(uint64_t *S, unsigned W, uint64_t Key) {
+    for (; W > 0; --W)
+      S[W] = S[W - 1];
+    S[0] = Key;
   }
 
-  void acquireStorage();
-  void releaseStorage();
-
-  unsigned Ways;
-  unsigned LineBytes;
-  unsigned NumSets;
-  bool Pow2Geometry = false;
-  unsigned LineShift = 0;
-  unsigned SetShift = 0;
-  /// Sparse level: skip all per-run zeroing and validate sets against
-  /// SetEpoch instead. The extra compare only rides on this level's
-  /// paths, so it is reserved for levels behind another level's miss.
-  bool LazySets = false;
-
-  /// Per-set MRU way: the way index this set last hit or filled. The
-  /// fast paths above try it before scanning; an eviction that reuses
-  /// the way changes its tag key, which the fast-path compare catches.
-  uint8_t *MruWay = nullptr;
-  /// Negative MRU for refresh(): the last (set, key) a refresh scan
-  /// found absent. NegKey 0 never matches a real key (keys are tag+1).
-  unsigned NegSet = ~0u;
-  uint64_t NegKey = 0;
-  Line *Lines = nullptr;
-  /// Lazy-set epoch: SetEpoch[S] == Epoch iff set S was initialized by
-  /// this owner of the buffer. The counter lives with the pooled bundle
-  /// across owners (64-bit: never wraps) so stale sets from any prior
-  /// run compare unequal.
-  uint64_t *SetEpoch = nullptr;
-  uint64_t Epoch = 0;
-  uint64_t Clock = 0;
+  uint64_t Keys[Sets][Ways];
+  uint64_t Cleared[Lazy ? (Sets + 63) / 64 : 1];
   uint64_t Hits = 0;
   uint64_t Misses = 0;
 };
 
-/// Latency parameters (cycles), roughly the 733 MHz Itanium of the paper.
-struct MemoryConfig {
-  unsigned L1Latency = 2;
-  unsigned L2Latency = 9;
-  unsigned L3Latency = 24;
-  unsigned MemLatency = 120;
-  uint64_t L1Size = 16 * 1024;
-  unsigned L1Ways = 4;
-  uint64_t L2Size = 96 * 1024;
-  unsigned L2Ways = 6;
-  uint64_t L3Size = 2 * 1024 * 1024;
-  unsigned L3Ways = 4;
-  unsigned LineBytes = 64;
-};
-
 /// The hierarchy. Loads return their latency; stores update the caches
-/// (write-allocate into L2, update L1 when present).
+/// (write-allocate into L2, update L1 when present). Latencies (cycles)
+/// are roughly the 733 MHz Itanium of the paper.
 class MemoryHierarchy {
 public:
-  explicit MemoryHierarchy(const MemoryConfig &Config);
+  static constexpr unsigned L1Latency = 2;
+  static constexpr unsigned L2Latency = 9;
+  static constexpr unsigned L3Latency = 24;
+  static constexpr unsigned MemLatency = 120;
 
   /// Latency of a load; \p Fp loads bypass L1 (Itanium floating point
-  /// loads are served from L2). Header-inline so the per-load fast paths
-  /// (int L1 hit, FP L2 hit) cost no cross-TU call.
+  /// loads are served from L2). A level's miss installs the line there,
+  /// so an integer load fills L1 and every load fills L2 and, past an L2
+  /// miss, L3.
   unsigned loadLatency(uint64_t Addr, bool Fp) {
     if (!Fp && L1.access(Addr))
-      return Config.L1Latency;
-    return loadLatencyL2(Addr, Fp);
-  }
-
-  unsigned loadLatencyL2(uint64_t Addr, bool Fp) {
-    if (L2.access(Addr)) {
-      if (!Fp)
-        L1.install(Addr);
-      return Config.L2Latency;
-    }
-    return loadLatencyL3(Addr, Fp);
+      return L1Latency;
+    return L2.access(Addr)   ? L2Latency
+           : L3.access(Addr) ? L3Latency
+                             : MemLatency;
   }
 
   /// Store: updates the hierarchy; stores are fire-and-forget for timing.
   void store(uint64_t Addr) {
-    // Write-allocate into L2; refresh L1 when the line is already present.
     L1.refresh(Addr);
     L2.install(Addr);
   }
-
-  unsigned loadLatencyL3(uint64_t Addr, bool Fp);
 
   uint64_t l1Hits() const { return L1.hits(); }
   uint64_t l1Misses() const { return L1.misses(); }
@@ -328,8 +169,9 @@ public:
   uint64_t l2Misses() const { return L2.misses(); }
 
 private:
-  MemoryConfig Config;
-  CacheLevel L1, L2, L3;
+  CacheLevel<16 * 1024, 4> L1;
+  CacheLevel<96 * 1024, 6> L2;
+  CacheLevel<2 * 1024 * 1024, 4, /*Lazy=*/true> L3;
 };
 
 } // namespace srp::arch

@@ -84,7 +84,7 @@ SimResult srp::arch::simulate(const DecodedModule &DM,
   const bool UseStA = Config.UseStA;
 
   Alat Table(Config.Alat, Config.Faults);
-  MemoryHierarchy Mem(Config.Memory);
+  MemoryHierarchy Mem;
   PagedMemory Memory;
 
   // Register file plus the always-zero DummyReg slot (Decoded.h). The

@@ -23,8 +23,7 @@ class Machine {
 public:
   Machine(const MModule &M, const SimConfig &Config)
       : M(M), Config(Config), IssueW(Config.IssueWidth),
-        MaxInstrs(Config.MaxInstructions), Table(Config.Alat, Config.Faults),
-        Mem(Config.Memory) {}
+        MaxInstrs(Config.MaxInstructions), Table(Config.Alat, Config.Faults) {}
 
   SimResult run();
 

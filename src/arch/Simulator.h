@@ -9,7 +9,8 @@
 /// issue-width-limited timing model with the performance effects the
 /// paper's evaluation measures:
 ///
-///  * loads pay cache-hierarchy latency (int L1 2cy, FP from L2 9cy);
+///  * loads pay the latency of a fixed-geometry LRU cache hierarchy
+///    (Caches.h: int L1 2cy, FP from L2 9cy, L3 24cy, memory 120cy);
 ///    consumers stall until the value is ready, and stall cycles caused
 ///    by loads accumulate into DataAccessCycles (the "data access cycles"
 ///    series of Figure 8);
@@ -36,14 +37,14 @@
 
 namespace srp::arch {
 
-/// Timing and machine-configuration knobs.
+/// Timing and machine-configuration knobs. The cache hierarchy has none:
+/// its geometry and latencies are constants (MemoryHierarchy).
 struct SimConfig {
   AlatConfig Alat;
   /// Optional ALAT fault-injection schedule (FaultPlan.h); disabled by
   /// default, in which case the simulation is bit-identical to a build
   /// without the fault layer.
   FaultPlan Faults;
-  MemoryConfig Memory;
   unsigned IssueWidth = 6;          ///< Two bundles of three.
   unsigned TakenBranchPenalty = 1;  ///< Pipeline bubble per taken branch.
   unsigned CallPenalty = 2;

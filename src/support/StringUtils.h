@@ -35,16 +35,17 @@ std::string_view trimString(std::string_view Str);
 /// Returns true if \p Str begins with \p Prefix.
 bool startsWith(std::string_view Str, std::string_view Prefix);
 
-/// Parses all of \p Text as a decimal number that fits \p Out's type:
+/// Parses all of \p Text as a number in \p Base that fits \p Out's type:
 /// digits only, with no sign, space or base prefix. On failure (empty,
 /// non-digit or out-of-range input) returns false and leaves \p Out
 /// unchanged. Every tool parses its numeric options with this, so a typo
 /// is an error instead of atoi's silent 0.
-template <typename UInt> bool parseUnsigned(std::string_view Text, UInt &Out) {
+template <typename UInt>
+bool parseUnsigned(std::string_view Text, UInt &Out, int Base = 10) {
   static_assert(std::is_unsigned_v<UInt>);
   const char *End = Text.data() + Text.size();
   UInt Value = 0;
-  auto [Stop, Ec] = std::from_chars(Text.data(), End, Value);
+  auto [Stop, Ec] = std::from_chars(Text.data(), End, Value, Base);
   if (Ec != std::errc() || Stop != End)
     return false;
   Out = Value;

@@ -556,7 +556,7 @@ TEST(AlatTest, InvalaEDropsOneRegister) {
 }
 
 TEST(CacheTest, HitAfterMiss) {
-  CacheLevel L(1024, 2, 64);
+  CacheLevel<1024, 2> L;
   EXPECT_FALSE(L.access(0x100));
   EXPECT_TRUE(L.access(0x100));
   EXPECT_TRUE(L.access(0x108)) << "same line";
@@ -566,7 +566,7 @@ TEST(CacheTest, HitAfterMiss) {
 
 TEST(CacheTest, LruEviction) {
   // 2-way, 64B lines, 2 sets -> addresses 0x0, 0x80, 0x100 share set 0.
-  CacheLevel L(256, 2, 64);
+  CacheLevel<256, 2> L;
   L.access(0x0);
   L.access(0x80);
   L.access(0x100); // evicts 0x0 (LRU)
@@ -575,12 +575,12 @@ TEST(CacheTest, LruEviction) {
 }
 
 TEST(MemoryHierarchyTest, FpBypassesL1) {
-  MemoryConfig C;
-  MemoryHierarchy H(C);
+  using C = MemoryHierarchy;
+  MemoryHierarchy H;
   // Warm the line via an int load: L1 + L2 now hold it.
   H.loadLatency(0x1000, /*Fp=*/false);
-  EXPECT_EQ(H.loadLatency(0x1000, /*Fp=*/false), C.L1Latency);
-  EXPECT_EQ(H.loadLatency(0x1000, /*Fp=*/true), C.L2Latency)
+  EXPECT_EQ(H.loadLatency(0x1000, /*Fp=*/false), C::L1Latency);
+  EXPECT_EQ(H.loadLatency(0x1000, /*Fp=*/true), C::L2Latency)
       << "FP loads are served from L2 even on an L1-resident line";
 }
 

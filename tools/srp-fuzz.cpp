@@ -40,7 +40,8 @@
 //     garbage NDJSON frames, checked for chunking-independent framing,
 //     one well-formed response per frame, and repeat determinism.
 //     --iterations/--threads/--seed/--repro-dir/--max-findings apply;
-//     findings replay with --replay-serve=SEED.
+//     findings replay with --replay-serve=SEED (decimal, or hex after
+//     0x; a seed that does not fit 64 bits is a usage error).
 //
 // Exit status (matching srp-run lint): 0 clean sweep, 1 findings (or
 // replay mismatch), 2 usage errors.
@@ -53,7 +54,9 @@
 #include "support/OStream.h"
 #include "support/StringUtils.h"
 
+#include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <string>
 
 using namespace srp;
@@ -63,10 +66,31 @@ namespace {
 struct Options {
   fuzz::FuzzOptions Fuzz;
   std::string Replay;
-  std::string ReplayServe;
+  std::optional<uint64_t> ReplayServe;
   bool Serve = false;
   bool Quiet = false;
 };
+
+void usage(std::FILE *To) {
+  std::fputs(
+      "usage: srp-fuzz [--iterations=N] [--seconds=N] [-jN] [--seed=N]\n"
+      "                [--no-faults] [--fault-plans=N] [--no-minimize]\n"
+      "                [--repro-dir=PATH] [--max-findings=N] [--taint] "
+      "[--quiet]\n"
+      "       srp-fuzz --replay=SHAPE:PROG:CFG:FAULT [--taint]\n"
+      "       srp-fuzz --serve [options]\n"
+      "       srp-fuzz --replay-serve=SEED  (decimal or 0x hex, < 2^64)\n",
+      To);
+}
+
+/// Parses a serve finding's seed in decimal or, after "0x", in hex (as
+/// ServeFinding::replayArg() prints it). Rejects any other text and any
+/// value that does not fit 64 bits.
+bool parseServeSeed(std::string_view Text, uint64_t &Seed) {
+  if (startsWith(Text, "0x"))
+    return parseUnsigned(Text.substr(2), Seed, 16);
+  return parseUnsigned(Text, Seed);
+}
 
 bool parseArgs(int Argc, char **Argv, Options &Opts) {
   bool SecondsSet = false;
@@ -114,7 +138,13 @@ bool parseArgs(int Argc, char **Argv, Options &Opts) {
     } else if (Arg == "--serve") {
       Opts.Serve = true;
     } else if (startsWith(Arg, "--replay-serve=")) {
-      Opts.ReplayServe = std::string(Arg.substr(15));
+      uint64_t Seed = 0;
+      if (!parseServeSeed(Arg.substr(15), Seed)) {
+        errs() << "malformed --replay-serve seed '" << Arg.substr(15)
+               << "'\n";
+        return false;
+      }
+      Opts.ReplayServe = Seed;
       Opts.Serve = true;
     } else {
       errs() << "unknown option '" << Arg << "'\n";
@@ -125,7 +155,7 @@ bool parseArgs(int Argc, char **Argv, Options &Opts) {
   // iterations under the clock.
   if (SecondsSet && Opts.Fuzz.Iterations == 1000)
     Opts.Fuzz.Iterations = 0;
-  if (Opts.Replay.empty() && Opts.ReplayServe.empty() &&
+  if (Opts.Replay.empty() && !Opts.ReplayServe &&
       Opts.Fuzz.Iterations == 0 && Opts.Fuzz.Seconds == 0) {
     errs() << "nothing to do: give --iterations and/or --seconds\n";
     return false;
@@ -163,26 +193,7 @@ int runReplay(const std::string &Arg, const Options &Opts) {
 }
 
 /// --serve --replay-serve=SEED: re-derive one input and re-check it.
-int runServeReplay(const std::string &Arg) {
-  uint64_t Seed = 0;
-  bool Hex = startsWith(Arg, "0x");
-  std::string_view Digits = std::string_view(Arg).substr(Hex ? 2 : 0);
-  if (Digits.empty() || Digits.size() > 16 + (Hex ? 0 : 4)) {
-    errs() << "malformed --replay-serve seed '" << Arg << "'\n";
-    return 2;
-  }
-  for (char C : Digits) {
-    unsigned D;
-    if (C >= '0' && C <= '9')
-      D = unsigned(C - '0');
-    else if (Hex && C >= 'a' && C <= 'f')
-      D = unsigned(C - 'a') + 10;
-    else {
-      errs() << "malformed --replay-serve seed '" << Arg << "'\n";
-      return 2;
-    }
-    Seed = Hex ? Seed * 16 + D : Seed * 10 + D;
-  }
+int runServeReplay(uint64_t Seed) {
   std::string Input = fuzz::serveInputFromSeed(Seed);
   outs() << formatString("replaying serve input 0x%llx (%zu bytes)\n",
                          (unsigned long long)Seed, Input.size());
@@ -231,11 +242,13 @@ int runServeCampaign(const Options &Opts) {
 int main(int Argc, char **Argv) {
   Options Opts;
   Opts.Fuzz.ReproDir = "fuzz-repros";
-  if (!parseArgs(Argc, Argv, Opts))
+  if (!parseArgs(Argc, Argv, Opts)) {
+    usage(stderr);
     return 2;
+  }
 
-  if (!Opts.ReplayServe.empty())
-    return runServeReplay(Opts.ReplayServe);
+  if (Opts.ReplayServe)
+    return runServeReplay(*Opts.ReplayServe);
   if (Opts.Serve)
     return runServeCampaign(Opts);
   if (!Opts.Replay.empty())

@@ -81,22 +81,20 @@ void usage(std::FILE *To) {
 bool parseArgs(int Argc, char **Argv, Options &Opts) {
   for (int I = 1; I < Argc; ++I) {
     std::string_view Arg = Argv[I];
-    uint64_t Value = 0;
     if (startsWith(Arg, "--connect=")) {
       Opts.Connect = std::string(Arg.substr(10));
     } else if (startsWith(Arg, "--threads=")) {
-      if (!parseUnsigned(Arg.substr(10), Value) || Value == 0 ||
-          Value > 256)
+      if (!parseUnsigned(Arg.substr(10), Opts.Threads) || Opts.Threads == 0 ||
+          Opts.Threads > 256)
         return false;
-      Opts.Threads = static_cast<unsigned>(Value);
     } else if (startsWith(Arg, "--requests=")) {
-      if (!parseUnsigned(Arg.substr(11), Value) || Value == 0)
+      if (!parseUnsigned(Arg.substr(11), Opts.WarmRequests) ||
+          Opts.WarmRequests == 0)
         return false;
-      Opts.WarmRequests = static_cast<unsigned>(Value);
     } else if (startsWith(Arg, "--malformed-pct=")) {
-      if (!parseUnsigned(Arg.substr(16), Value) || Value > 100)
+      if (!parseUnsigned(Arg.substr(16), Opts.MalformedPct) ||
+          Opts.MalformedPct > 100)
         return false;
-      Opts.MalformedPct = static_cast<unsigned>(Value);
     } else if (startsWith(Arg, "--seed=")) {
       if (!parseUnsigned(Arg.substr(7), Opts.Seed))
         return false;
