@@ -95,8 +95,7 @@ DOpKind kindOf(const MInstr &I) {
 }
 
 /// True when the micro-op's handler writes Rd through the register file
-/// (these must carry a physical Rd; the legacy simulator asserted the
-/// same range on execution).
+/// (these must carry a physical Rd; decoding asserts it).
 bool definesRd(MOp Op) {
   switch (Op) {
   case MOp::St:
@@ -116,8 +115,8 @@ bool definesRd(MOp Op) {
 }
 
 /// Precomputes the issue-scan source list: MInstr::sources() shape order
-/// with the legacy srcDep `>= FirstVirtualReg` filter applied, padded
-/// with DummyReg.
+/// with NoReg and virtual registers (`>= FirstVirtualReg`) filtered out,
+/// padded with DummyReg.
 void fillScanList(const MInstr &I, DecodedOp &D) {
   uint16_t Slots[3];
   unsigned N = 0;

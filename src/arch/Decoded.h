@@ -29,15 +29,15 @@
 ///  * Every basic block is followed by a `FellOff` sentinel micro-op, and
 ///    every branch to an out-of-range block id resolves to a sentinel
 ///    carrying that id — the executor has no bounds checks, falling off
-///    or jumping wild lands on a sentinel that raises the exact trap the
-///    legacy interpreter-style loop produced.
+///    or jumping wild lands on a sentinel that raises the "fell off block"
+///    trap.
 ///  * `S0..S2` hold the issue-scan source list with `MInstr::sources()`'s
 ///    shape and the `>= FirstVirtualReg` filter already applied, padded
 ///    with `DummyReg`; the register file allocates one extra always-zero,
 ///    never-written slot at `DummyReg` so padded slots and NoReg operands
 ///    need no branches. NoReg and virtual-register operands both map to
-///    `DummyReg` (a program that *executes* such an operand would have
-///    failed the legacy simulator's range assert).
+///    `DummyReg` (register allocation leaves no virtual register behind,
+///    and decoding asserts that every defining op has a physical Rd).
 ///  * Immediate forms are distinct micro-op kinds (`AddI` vs `Add`), so
 ///    the executor never tests `HasImm`; `ld.sa` decodes to the `LdA`
 ///    micro-op (identical simulator semantics).
@@ -48,13 +48,16 @@
 ///    kind and fields, so a branch into the middle of a pair executes it
 ///    standalone, and overlapping chains (`St Mov AddI` fusing both
 ///    `St→Mov` and `Mov→AddI`) stay consistent — whichever op control
-///    enters at produces the legacy instruction sequence.
+///    enters at retires the same instruction sequence as unfused ops.
 ///
-/// The decode/simulate contract: `simulate(DecodedModule, Config)` is
-/// counter-for-counter and output-byte-for-byte identical to
-/// `simulateLegacy(MModule, Config)` for any module, any config, and any
-/// fault plan. `DecodedModuleTest` enforces this differentially; the
-/// bench-regress CI lane pins the full-grid counter fingerprint.
+/// The decode/simulate contract: fusion and pointer-PC dispatch are pure
+/// performance transformations, so a run's counters, output, exit value
+/// and trap message are those of executing the MModule one instruction
+/// at a time. `DecodedModuleTest` pins every simulated number of a golden
+/// corpus (tests/golden/sim.golden: workloads, fuzz repros, random
+/// programs, the grid, ALAT geometries, fault plans and instruction
+/// budgets); the bench-regress CI lane pins the full-grid counter
+/// fingerprint.
 ///
 /// Invalidation: there is none — a DecodedModule is built from a final
 /// MModule and never updated. Any mutation of the MIR (there is none
@@ -124,7 +127,7 @@ struct DecodedOp {
   uint16_t Rs1 = DummyReg; ///< Exec operands; NoReg/virtual map to DummyReg.
   uint16_t Rs2 = DummyReg;
   uint16_t Rs3 = DummyReg;
-  uint16_t S0 = DummyReg; ///< Issue-scan sources, legacy shape order,
+  uint16_t S0 = DummyReg; ///< Issue-scan sources, sources() order,
   uint16_t S1 = DummyReg; ///< pre-filtered, DummyReg-padded.
   uint16_t S2 = DummyReg;
   int64_t Imm = 0;    ///< Immediate / load-store offset.
@@ -174,9 +177,9 @@ private:
   uint32_t MainIdx = NoFunction;
 };
 
-/// Runs the decoded stream on the timing model. Identical counters,
-/// output, exit value, and trap messages to simulateLegacy() on the
-/// module the stream was decoded from.
+/// Runs the decoded stream on the timing model (Simulator.h): the
+/// counters, output, exit value and trap message of the module the
+/// stream was decoded from.
 SimResult simulate(const DecodedModule &M, const SimConfig &Config);
 
 } // namespace srp::arch

@@ -1,20 +1,22 @@
 //===- DecodedSim.cpp - threaded decoded-stream executor ----------------------===//
 //
 // Simulate half of the decode/simulate contract (Decoded.h): a single
-// dispatch function over the pre-decoded micro-op stream. Everything the
-// legacy Machine kept in member variables — the clock, the issue slots,
-// the PendingUntil watermark, the stream cursor — lives in locals here so
-// the compiler can keep the hot state in registers across the whole run,
-// and dispatch is a computed goto per micro-op (a GNU extension, which
-// every compiler the tree builds with provides) instead of a block
-// refetch + bounds checks + opcode switch per instruction.
+// dispatch function over the pre-decoded micro-op stream. The machine
+// state — the clock, the issue slots, the PendingUntil watermark, the
+// stream cursor — lives in locals so the compiler can keep it in
+// registers across the whole run, and dispatch is a computed goto per
+// micro-op (a GNU extension, which every compiler the tree builds with
+// provides) instead of a block refetch + bounds checks + opcode switch
+// per instruction.
 //
-// Timing-model arithmetic executes in exactly the legacy order: issue()
-// fast path on the watermark, srcDep scan in shape order, the lazy
-// whole-file Ready overwrite on Ret (RetSeq / LastRetCycle / WriteSeq),
-// and the DataAccessCycles attribution. The counter fingerprint of any
-// run is byte-identical to simulateLegacy() by construction, and
-// DecodedModuleTest + the bench-regress CI fingerprint gate keep it so.
+// The timing model, per instruction in program order: an issue slot,
+// stalled until every source register is ready (the scan is skipped
+// while the clock is past the PendingUntil watermark); stall cycles
+// caused by a load-produced source count as DataAccessCycles; a return
+// makes every stacked register ready at the return's cycle. Fused pairs
+// charge exactly what their two ops charge alone. DecodedModuleTest pins
+// every counter of a golden corpus, and the bench-regress CI gate pins
+// the grid's counter fingerprint.
 //
 //===----------------------------------------------------------------------===//
 
@@ -44,11 +46,18 @@ using namespace srp::codegen;
 
 namespace {
 
+/// One active call. The IA-64 register stack renames r32..r127 /
+/// f32..f127 per frame; a flat register file must save and restore them
+/// instead. Only the window the callee can write ([FirstStackedReg,
+/// IntHigh) and its FP twin, see MFunction::StackedRegHigh) is copied:
+/// registers above it are untouched across the call by induction. The
+/// saved words live in the pooled SaveArea from SavedBase on. The RSE
+/// *timing* of the same mechanism is charged by rseCall/rseReturn.
 struct DReturnPoint {
   uint32_t FuncIdx;
   uint32_t ResumePC;
   uint32_t StackedRegs; ///< callee's frame for the RSE pop.
-  uint32_t IntHigh;     ///< save-window bounds, see Simulator.cpp.
+  uint32_t IntHigh;
   uint32_t FpHigh;
   size_t SavedBase;
 };
@@ -92,9 +101,9 @@ SimResult srp::arch::simulate(const DecodedModule &DM,
   // file, so the dummy slot stays zero and padded scan slots are timing
   // no-ops. RL packs each register's readiness as Ready*2 | LoadProduced
   // so the issue scan reads one word per source, and the lexicographic
-  // max over packed values reproduces the legacy (max Ready, OR of
-  // producer kinds at the max) pair exactly: on equal Ready the
-  // load-produced bit wins, which is the legacy tie rule.
+  // max over packed values is the (max Ready, OR of producer kinds at the
+  // max) pair the model charges: on equal Ready the load-produced bit
+  // wins, so a stall any load shares counts as a data-access stall.
   std::vector<uint64_t> RegsV(FirstVirtualReg + 1, 0);
   std::vector<uint64_t> RLV(FirstVirtualReg + 1, 0);
   uint64_t *const Regs = RegsV.data();
@@ -122,10 +131,10 @@ SimResult srp::arch::simulate(const DecodedModule &DM,
   uint64_t NRseSpills = 0;
   uint64_t NRseFills = 0;
 
+  // Both grow on the first Call: reserving the 512-deep footprint up
+  // front cost every run a 112 KiB heap round trip, calls or not.
   std::vector<DReturnPoint> CallStack;
-  CallStack.reserve(512);
   std::vector<uint64_t> SaveArea;
-  SaveArea.reserve(512 * 2 * NumStackedRegs / 8);
   std::vector<std::string> Output;
 
   bool Trapped = false;
@@ -164,12 +173,12 @@ SimResult srp::arch::simulate(const DecodedModule &DM,
       PendingUntil = ReadyAt;
   };
 
-  // The legacy stale-stacked rule — a stacked register not rewritten
-  // since the last return reads ready at that return's cycle — is
-  // applied eagerly by the Ret handler (bulk overwrite of the Ready
-  // halves of both stacked windows), so a source's readiness is just
-  // RL[R]. The DummyReg padding slot reads packed 0 and is a timing
-  // no-op, so padded slots scan unconditionally.
+  // The stale-stacked rule — a stacked register not rewritten since the
+  // last return reads ready at that return's cycle — is applied eagerly
+  // by the Ret handler (bulk overwrite of the Ready halves of both
+  // stacked windows), so a source's readiness is just RL[R]. The
+  // DummyReg padding slot reads packed 0 and is a timing no-op, so
+  // padded slots scan unconditionally.
   auto srcDep = [&](uint32_t R, uint64_t &AvailP) SRP_AI {
     uint64_t V = RL[R];
     if (V > AvailP)
@@ -186,8 +195,8 @@ SimResult srp::arch::simulate(const DecodedModule &DM,
   // Shape-0 ops (MovI/Br/Ret/Nop/Call): the slow path has no sources to
   // scan, so fast and slow paths coincide. The packed scans seed the
   // running max at Cycle*2+1: a packed value exceeds that iff its Ready
-  // half exceeds Cycle, so `AvailP > Init` is exactly the legacy
-  // stall test and the low bit of the max is the legacy LoadLimited.
+  // half exceeds Cycle, so `AvailP > Init` is exactly the stall test
+  // and the low bit of the max says whether a load limited the stall.
   auto issue0 = [&]() SRP_AI { issueTail(); };
   auto issue2 = [&](const DecodedOp &I) SRP_AI {
     if (SRP_LIKELY(Cycle >= PendingUntil)) {
@@ -280,10 +289,10 @@ SimResult srp::arch::simulate(const DecodedModule &DM,
   SRP_NEXT();
 
 // Default-shape ALU family. A_ = Rs1, B_ = Rs2 or the immediate; EXPR
-// computes the value written back at 1 + (LAT-1) cycles of latency,
-// exactly like the legacy SetAlu. The *_CORE macros are the handler
-// bodies minus the PC advance and redispatch, so the fused-pair handlers
-// below can chain two of them on one dispatch.
+// computes the value written back, ready LAT-1 cycles after issue. The
+// *_CORE macros are the handler bodies minus the PC advance and
+// redispatch, so the fused-pair handlers below can chain two of them on
+// one dispatch.
 #define SRP_ALU_CORE(I, BINIT, LAT, EXPR)                                      \
   {                                                                            \
     issue2(I);                                                                 \
@@ -329,10 +338,10 @@ SimResult srp::arch::simulate(const DecodedModule &DM,
   ++NRetiredStores;                                                            \
   if (SRP_UNLIKELY(Trapped))                                                   \
     goto Done;
-// The legacy loop checks the instruction budget before *every*
-// instruction; a fused handler replays that check between its two ops
-// (the second op of a fused pair is never FellOff, so the sentinel
-// exemption in SRP_NEXT cannot apply).
+// The instruction budget is checked before *every* instruction (the
+// trap point is program-visible); a fused handler replays that check
+// between its two ops (the second op of a fused pair is never FellOff,
+// so the sentinel exemption in SRP_NEXT cannot apply).
 #define SRP_MIDFUSE()                                                          \
   if (SRP_UNLIKELY(InstrCount >= MaxInstrs)) {                                 \
     trap("instruction budget exhausted");                                      \
@@ -404,8 +413,7 @@ SimResult srp::arch::simulate(const DecodedModule &DM,
     ++NAlatChecks;
     if (Table.check(I.Rd, Addr, /*Clear=*/true)) {
       // Hit: refresh the register raw — no latency, no Ready update.
-      // (r0 guarded to keep the zero-slot invariant; the legacy write to
-      // Regs[0] was unobservable through its reg() accessor.)
+      // (r0 guarded to keep the zero-slot invariant.)
       const uint64_t V = read64(Addr);
       if (I.Rd != RegZero)
         Regs[I.Rd] = V;
@@ -574,11 +582,9 @@ SimResult srp::arch::simulate(const DecodedModule &DM,
               Regs + FpRegBase + FirstStackedReg);
     SaveArea.resize(RP.SavedBase);
     // The return makes every stacked register architecturally current
-    // again: Ready := this cycle (before the branch penalty), exactly
-    // the value the legacy lazy RetSeq/LastRetCycle scheme would hand
-    // any stacked register not rewritten after this point. The packed
-    // low (LoadProduced) bit deliberately survives — the legacy rule
-    // kept reporting the stale producer kind for such registers.
+    // again: Ready := this cycle (before the branch penalty). The packed
+    // low (LoadProduced) bit deliberately survives: a register the
+    // callee's frame did not rewrite keeps reporting its producer kind.
     const uint64_t C2 = Cycle * 2;
     for (unsigned R = FirstStackedReg; R < FirstStackedReg + NumStackedRegs;
          ++R)
@@ -599,8 +605,8 @@ SimResult srp::arch::simulate(const DecodedModule &DM,
 
   // Fused pairs (Decoded.h): both ops of the pair retire on this one
   // dispatch, each through the same core body its standalone handler
-  // uses, with the legacy per-instruction budget check replayed in the
-  // middle. The second op's operands come from Ops[PC + 1].
+  // uses, with the per-instruction budget check replayed in the middle.
+  // The second op's operands come from Ops[PC + 1].
   SRP_HANDLER(FuseLdLd) {
     {
       const DecodedOp &I = *PC;

@@ -91,11 +91,6 @@ struct SimResult {
 /// module should decode once and call the DecodedModule overload.
 SimResult simulate(const codegen::MModule &M, const SimConfig &Config);
 
-/// The original per-instruction fetch-decode interpreter loop, kept as
-/// the differential reference for the decoded executor
-/// (DecodedModuleTest). Counter-for-counter identical to simulate().
-SimResult simulateLegacy(const codegen::MModule &M, const SimConfig &Config);
-
 } // namespace srp::arch
 
 #endif // SRP_ARCH_SIMULATOR_H

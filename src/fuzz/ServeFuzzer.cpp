@@ -24,19 +24,50 @@ namespace {
 
 /// The canned program valid frames carry: tiny (a handful of simulated
 /// instructions) so a fuzz campaign's occasional real pipeline runs cost
-/// microseconds, not milliseconds.
-constexpr const char *TinyProgram = R"(global a : int
-global i : int
+/// microseconds, not milliseconds. p and pp chain to a, so every
+/// reference shape specProgram() writes is in bounds.
+constexpr const char *TinyProgram = R"(global a : int[2]
+global p : int
+global pp : int
 
 func main() -> int {
 entry:
+  t1 = addrof a
+  st p = t1
+  t2 = addrof p
+  st pp = t2
   st a = 7
   t0 = ld a
-  t1 = add t0, 35
-  print t1
-  ret t1
+  t3 = add t0, 35
+  print t3
+  ret t3
 }
 )";
+
+/// The canned program with its load or its store rewritten to a random
+/// speculation flag and reference shape, with or without the @addr or
+/// alat-> operand. The verifier must reject each shape lowering cannot
+/// handle, so the server answers status 2 instead of aborting.
+std::string specProgram(RNG &R) {
+  static const char *const Shapes[] = {"a", "*p", "**pp", "a[1]"};
+  static const char *const Flags[] = {"",          "<ld.a>",    "<ld.sa>",
+                                      "<ld.c.clr>", "<ld.c.nc>", "<chk.a.clr>",
+                                      "<chk.a.nc>"};
+  const char *Shape = Shapes[R.nextBelow(std::size(Shapes))];
+  bool WithOperand = R.nextBool(0.5);
+  std::string Program = TinyProgram;
+  if (R.nextBool(0.5))
+    Program.replace(Program.find("t0 = ld a"), 9,
+                    formatString("t0 = ld%s %s%s",
+                                 Flags[R.nextBelow(std::size(Flags))], Shape,
+                                 WithOperand ? " @addr(t1)" : ""));
+  else
+    Program.replace(Program.find("st a = 7"), 8,
+                    formatString("st%s %s = 7%s",
+                                 R.nextBool(0.5) ? "<st.a>" : "", Shape,
+                                 WithOperand ? " alat->t0" : ""));
+  return Program;
+}
 
 /// The server every oracle run fuzzes: deliberately tight limits so
 /// seed-derived inputs actually reach the oversized-frame, oversized-
@@ -71,7 +102,7 @@ std::string jsonQuoted(std::string_view S) {
 }
 
 std::string validFrame(RNG &R) {
-  switch (R.nextBelow(8)) {
+  switch (R.nextBelow(9)) {
   case 0:
     return "{\"id\":\"p\",\"op\":\"ping\"}";
   case 1:
@@ -92,6 +123,9 @@ std::string validFrame(RNG &R) {
                         "\"train_scale\":%llu,\"ref_scale\":%llu}",
                         (unsigned long long)R.nextBelow(6),
                         (unsigned long long)R.nextBelow(6));
+  case 7:
+    return "{\"op\":\"run\",\"program\":" + jsonQuoted(specProgram(R)) +
+           "}";
   default:
     return "{\"id\":\"s\",\"op\":\"shutdown\"}";
   }

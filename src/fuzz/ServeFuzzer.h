@@ -7,9 +7,10 @@
 /// \file
 /// The `srp-fuzz --serve` campaign: fuzzes the NDJSON protocol stack
 /// behind srp-serve (core::LineSplitter + core::ServerCore) with
-/// seed-derived byte streams — mutated valid requests, truncated frames,
-/// interleaved pipelined requests, garbage bytes — and checks the
-/// serving contract on every input:
+/// seed-derived byte streams — mutated valid requests (among them the
+/// canned program with a random speculation flag and reference shape),
+/// truncated frames, interleaved pipelined requests, garbage bytes — and
+/// checks the serving contract on every input:
 ///
 ///   * framing is chunking-independent: splitting the same bytes at
 ///     arbitrary read(2) boundaries yields the identical frame sequence

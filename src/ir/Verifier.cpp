@@ -122,10 +122,21 @@ private:
     case StmtKind::Load:
       verifyMemRef(S, S.Ref);
       checkTemp(S, S.Dst, S.Ref.ValueType);
+      // The check shapes lowering can emit: an indirect ld.c reads its
+      // address from the saved chain pointer, and chk.a tests a depth-1
+      // chain pointer.
+      if ((S.Flag == SpecFlag::LdC || S.Flag == SpecFlag::LdCnc) &&
+          S.Ref.isIndirect() && S.AddrSrc == NoTemp)
+        stmtError(S, "indirect ld.c needs @addr(tN)");
+      if ((S.Flag == SpecFlag::ChkA || S.Flag == SpecFlag::ChkAnc) &&
+          (S.Ref.Depth != 1 || S.AddrSrc == NoTemp))
+        stmtError(S, "chk.a needs a depth-1 reference and @addr(tN)");
       break;
     case StmtKind::Store:
       verifyMemRef(S, S.Ref);
       checkOperand(S, S.A, S.Ref.ValueType);
+      if (S.StA && S.AlatDst == NoTemp)
+        stmtError(S, "st.a needs alat->tN");
       break;
     case StmtKind::AddrOf:
       if (S.Ref.Depth != 0)

@@ -28,7 +28,9 @@ class Function;
 /// present, dereference depths go through scalar integer symbols, and
 /// direct references stay within declared array extents for constant
 /// indices; call argument counts match the callee's formals; alloc
-/// statements carry a heap-site symbol.
+/// statements carry a heap-site symbol; speculation flags have the
+/// operands lowering needs (an indirect ld.c its @addr chain pointer, a
+/// chk.a a depth-1 reference and @addr, a st.a its alat-> register).
 std::vector<std::string> verifyModule(const Module &M);
 
 /// Verifies one function, appending diagnostics to \p Errors.

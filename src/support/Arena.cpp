@@ -20,6 +20,20 @@ static void poison(const void *, size_t) {}
 static void unpoison(const void *, size_t) {}
 #endif
 
+std::vector<char *> &Arena::parkedSlabs() {
+  struct Parked {
+    std::vector<char *> Free;
+    ~Parked() {
+      for (char *P : Free) {
+        unpoison(P, FirstSlabBytes);
+        ::operator delete(P);
+      }
+    }
+  };
+  static thread_local Parked P;
+  return P.Free;
+}
+
 void *Arena::allocate(size_t Size, size_t Align) {
   // ASan poisoning works at 8-byte shadow granularity; rounding every
   // request keeps allocation boundaries on granule boundaries so a
@@ -56,7 +70,13 @@ void Arena::newSlab(size_t Min) {
                     : std::min(Slabs.back().Size * 2, MaxSlabBytes);
   Want = std::max(Want, Min);
   Slab S;
-  S.Base = static_cast<char *>(::operator new(Want));
+  std::vector<char *> &Parked = parkedSlabs();
+  if (Want == FirstSlabBytes && !Parked.empty()) {
+    S.Base = Parked.back();
+    Parked.pop_back();
+  } else {
+    S.Base = static_cast<char *>(::operator new(Want));
+  }
   S.Size = Want;
   poison(S.Base, S.Size);
   Slabs.push_back(S);
@@ -83,7 +103,13 @@ Arena::~Arena() {
   for (auto It = Dtors.rbegin(), E = Dtors.rend(); It != E; ++It)
     It->Fn(It->Obj);
   publishStats(/*CountReset=*/false);
+  std::vector<char *> &Parked = parkedSlabs();
   for (Slab &S : Slabs) {
+    if (S.Size == FirstSlabBytes && Parked.size() < MaxParkedSlabs) {
+      poison(S.Base, S.Size);
+      Parked.push_back(S.Base);
+      continue;
+    }
     unpoison(S.Base, S.Size);
     ::operator delete(S.Base);
   }

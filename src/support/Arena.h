@@ -11,7 +11,8 @@
 /// (no per-node malloc/free), addresses are stable for the arena's whole
 /// life (IR pointers are map keys everywhere), and teardown is one sweep:
 /// registered destructors run in reverse allocation order, then the slabs
-/// are reused by reset() or freed by the destructor.
+/// are reused by reset() or released by the destructor (first slabs are
+/// parked for the thread's next arena, the rest freed).
 ///
 /// Under AddressSanitizer every slab's unused tail is poisoned and reset()
 /// re-poisons recycled memory, so use-after-reset and past-the-bump reads
@@ -114,8 +115,14 @@ private:
   void newSlab(size_t Min);
   void publishStats(bool CountReset);
 
+  /// First slabs parked for the thread's next arenas, so a run that
+  /// builds and drops modules leaves no slabs at the heap top for glibc
+  /// to trim and fault back in (DESIGN.md §7). They stay poisoned.
+  static std::vector<char *> &parkedSlabs();
+
   static constexpr size_t FirstSlabBytes = 64 << 10;
   static constexpr size_t MaxSlabBytes = 1 << 20;
+  static constexpr size_t MaxParkedSlabs = 8; ///< 512 KiB per thread.
 
   std::vector<Slab> Slabs;
   size_t CurSlab = 0; ///< Valid only when !Slabs.empty().

@@ -78,6 +78,18 @@ TEST(ArenaTest, ResetRunsDestructorsInReverseOrder) {
   Order.clear();
 }
 
+TEST(ArenaTest, DestroyedArenaParksItsFirstSlab) {
+  // The next arena on the thread gets the parked first slab, so building
+  // and dropping a module per run leaves the heap top alone.
+  void *First;
+  {
+    Arena A;
+    First = A.allocate(64, 8);
+  }
+  Arena B;
+  EXPECT_EQ(B.allocate(64, 8), First);
+}
+
 // Under AddressSanitizer the allocator poisons slab tails and re-poisons
 // recycled memory at reset, so stale pointers trip ASan like a heap
 // use-after-free. The shadow-state checks only exist under ASan; the
@@ -93,6 +105,13 @@ TEST(ArenaTest, AsanPoisoning) {
   A.reset();
   EXPECT_TRUE(__asan_address_is_poisoned(P))
       << "reset must re-poison recycled memory";
+  char *Q;
+  {
+    Arena B;
+    Q = static_cast<char *>(B.allocate(64, 8));
+  }
+  EXPECT_TRUE(__asan_address_is_poisoned(Q))
+      << "a parked first slab must stay poisoned";
 #else
   GTEST_SKIP() << "requires an AddressSanitizer build";
 #endif

@@ -12,16 +12,12 @@
 //
 // The golden file pins promotion decisions byte for byte, so a change
 // meant to be behaviour-preserving (a faster table, a reordered loop)
-// must leave it untouched. A change that is meant to alter promotion
-// output regenerates it with
-//
-//   SRP_COMPILE_GOLDEN_OUT=tests/golden/compile.golden <test binary>
-//
-// run from the source root (the test binary is
-// build/tests/CompileGoldenTest in the default tree), and the diff is
-// reviewed like the counter fingerprint.
+// must leave it untouched. GoldenFile.h says how a change that is meant
+// to alter promotion output regenerates it.
 //
 //===----------------------------------------------------------------------===//
+
+#include "GoldenFile.h"
 
 #include "core/Pass.h"
 #include "fuzz/Fuzzer.h"
@@ -35,10 +31,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 
 using namespace srp;
 
@@ -47,13 +40,6 @@ namespace {
 namespace fs = std::filesystem;
 
 constexpr unsigned NumRandomPrograms = 200;
-
-std::string readFile(const fs::path &P) {
-  std::ifstream In(P, std::ios::binary);
-  std::stringstream SS;
-  SS << In.rdbuf();
-  return SS.str();
-}
 
 /// The golden inputs as (name, .sir text), in a fixed order.
 std::vector<std::pair<std::string, std::string>> goldenInputs() {
@@ -68,7 +54,7 @@ std::vector<std::pair<std::string, std::string>> goldenInputs() {
 
   std::vector<std::pair<std::string, std::string>> Inputs;
   for (const fs::path &F : Files)
-    Inputs.emplace_back(fs::relative(F, Root).string(), readFile(F));
+    Inputs.emplace_back(fs::relative(F, Root).string(), test::readFile(F));
   for (uint64_t Seed = 1; Seed <= NumRandomPrograms; ++Seed) {
     ir::Module M;
     fuzz::buildRandomProgram(M, Seed);
@@ -125,30 +111,9 @@ TEST(CompileGoldenTest, PromotionOutputMatchesGolden) {
   std::vector<std::string> Actual;
   for (const auto &[Name, Text] : goldenInputs())
     Actual.push_back(goldenLine(Name, Text));
-
-  if (const char *Out = std::getenv("SRP_COMPILE_GOLDEN_OUT")) {
-    std::ofstream OS(Out, std::ios::binary);
-    OS << "# Promotion output per input; see tests/CompileGoldenTest.cpp.\n";
-    for (const std::string &L : Actual)
-      OS << L << '\n';
-    ASSERT_TRUE(OS.good()) << "cannot write " << Out;
-    GTEST_SKIP() << "wrote " << Actual.size() << " lines to " << Out;
-  }
-
-  std::ifstream In(fs::path(SRP_SOURCE_DIR) / "tests/golden/compile.golden");
-  ASSERT_TRUE(In) << "missing tests/golden/compile.golden";
-  std::vector<std::string> Expected;
-  for (std::string L; std::getline(In, L);)
-    if (!L.empty() && L[0] != '#')
-      Expected.push_back(L);
-
-  ASSERT_EQ(Actual.size(), Expected.size()) << "golden input count changed";
-  unsigned Mismatches = 0;
-  for (size_t I = 0; I < Actual.size(); ++I)
-    if (Actual[I] != Expected[I] && ++Mismatches <= 20)
-      ADD_FAILURE() << "expected: " << Expected[I]
-                    << "\n  actual: " << Actual[I];
-  EXPECT_EQ(Mismatches, 0u);
+  test::expectMatchesGolden(
+      "compile.golden",
+      "Promotion output per input; see tests/CompileGoldenTest.cpp.", Actual);
 }
 
 } // namespace

@@ -2,6 +2,7 @@
 
 #include "ir/Parser.h"
 
+#include "core/Pass.h"
 #include "fuzz/Fuzzer.h"
 #include "fuzz/RandomProgram.h"
 #include "interp/Interpreter.h"
@@ -188,6 +189,62 @@ entry:
   EXPECT_EQ(BB->stmt(0)->Kind, StmtKind::Invala);
   EXPECT_EQ(BB->stmt(1)->Flag, SpecFlag::LdA);
   EXPECT_EQ(BB->stmt(2)->Flag, SpecFlag::LdCnc);
+}
+
+/// Every load flag on every reference shape, with and without @addr, and
+/// st / st.a with and without alat->: the verifier rejects exactly the
+/// shapes lowering has no code for, and every program it accepts runs
+/// through promotion, lowering and the simulator (an unhandled shape
+/// would abort the process).
+TEST(ParserTest, SpeculationFlagShapesVerifyOrLower) {
+  const std::string Flags[] = {"",          "<ld.a>",    "<ld.sa>",
+                               "<ld.c.clr>", "<ld.c.nc>", "<chk.a.clr>",
+                               "<chk.a.nc>"};
+  const std::string Shapes[] = {"x", "*p", "**pp", "a[1]"};
+  std::vector<std::pair<std::string, bool>> Cases; // (stmt, rejected)
+  for (const std::string &Shape : Shapes) {
+    bool Indirect = Shape[0] == '*';
+    for (bool Addr : {false, true}) {
+      for (const std::string &Flag : Flags) {
+        bool LdC = Flag.find("ld.c") != std::string::npos;
+        bool ChkA = Flag.find("chk.a") != std::string::npos;
+        Cases.emplace_back("t0 = ld" + Flag + " " + Shape +
+                               (Addr ? " @addr(t3)" : ""),
+                           (LdC && Indirect && !Addr) ||
+                               (ChkA && !(Shape == "*p" && Addr)));
+      }
+      for (bool StA : {false, true})
+        Cases.emplace_back(std::string(StA ? "st<st.a> " : "st ") + Shape +
+                               " = 5" + (Addr ? " alat->t3" : ""),
+                           StA && !Addr);
+    }
+  }
+  unsigned Rejected = 0;
+  for (const auto &[Stmt, ExpectRejected] : Cases) {
+    SCOPED_TRACE(Stmt);
+    std::string Text = "global x : int\nglobal a : int[2]\nglobal p : int\n"
+                       "global pp : int\nfunc main() -> int {\nentry:\n"
+                       "  st x = 9\n  t1 = addrof x\n  st p = t1\n"
+                       "  t2 = addrof p\n  st pp = t2\n  t3 = ld p\n"
+                       "  t0 = ld x\n  " +
+                       Stmt + "\n  print t0\n  ret t0\n}\n";
+    Module M;
+    std::string Error;
+    ASSERT_TRUE(parseModule(Text, M, Error)) << Error;
+    bool IsRejected = !verifyModule(M).empty();
+    EXPECT_EQ(IsRejected, ExpectRejected);
+    Rejected += IsRejected;
+    if (IsRejected)
+      continue;
+    core::PipelineState S;
+    S.External = &M;
+    S.Config.Promotion = pre::PromotionConfig::alat();
+    S.Config.Promotion.EnableCascade = true;
+    core::PassManager PM;
+    core::addStandardPasses(PM);
+    EXPECT_TRUE(PM.run(S)) << S.Result.Error;
+  }
+  EXPECT_EQ(Rejected, 22u); // 18 load shapes, 4 st.a without alat->
 }
 
 TEST(ParserTest, PrintParseRoundTrip) {

@@ -328,38 +328,46 @@ TEST(ServeProtocol, SocketTransportAndHalfClose) {
       << Responses[2];
 }
 
+/// Runs the stdio transport over a pipe pair: writes \p Burst in one
+/// write, closes the server's input and sets \p Wire to everything the
+/// server wrote and \p Ret to runStdioServer's exit code.
+void runStdioBurst(ServerCore &Core, const std::string &Burst,
+                   std::string &Wire, int &Ret) {
+  int In[2], Out[2];
+  ASSERT_EQ(::pipe(In), 0);
+  ASSERT_EQ(::pipe(Out), 0);
+  std::FILE *ServerIn = ::fdopen(In[0], "r");
+  std::FILE *ServerOut = ::fdopen(Out[1], "w");
+  ASSERT_TRUE(ServerIn && ServerOut);
+  std::thread Server([&] {
+    Ret = runStdioServer(Core, ServerIn, ServerOut);
+    std::fclose(ServerOut);
+  });
+  EXPECT_EQ(::write(In[1], Burst.data(), Burst.size()),
+            ssize_t(Burst.size()));
+  ::close(In[1]);
+  Wire = drain(Out[0]);
+  Server.join();
+  std::fclose(ServerIn);
+  ::close(Out[0]);
+}
+
 // The stdio transport over a pipe pair. The burst is one write below
 // PIPE_BUF, so the server reads it as one chunk: its complete frames
 // answer in order as one batch, the oversized frame's error follows the
 // batch, and input ending mid-frame gets the final error before EOF.
 TEST(ServeProtocol, StdioTransportOverPipes) {
-  int In[2], Out[2];
-  ASSERT_EQ(::pipe(In), 0);
-  ASSERT_EQ(::pipe(Out), 0);
   ServeOptions O = testOptions();
   O.MaxLineBytes = 64;
   ServerCore Core(std::move(O));
-  std::FILE *ServerIn = ::fdopen(In[0], "r");
-  std::FILE *ServerOut = ::fdopen(Out[1], "w");
-  ASSERT_TRUE(ServerIn && ServerOut);
-  int Ret = -1;
-  std::thread Server([&] {
-    Ret = runStdioServer(Core, ServerIn, ServerOut);
-    std::fclose(ServerOut);
-  });
-
   std::string Burst = "{\"id\":\"a\",\"op\":\"ping\"}\n" +
                       std::string(100, 'x') +
                       "\n{\"id\":\"b\",\"op\":\"nope\"}\n"
                       "{\"id\":\"c\",\"op\":\"ping\"}\n"
                       "{\"id\":\"d\"";
-  EXPECT_EQ(::write(In[1], Burst.data(), Burst.size()),
-            ssize_t(Burst.size()));
-  ::close(In[1]);
-  std::string Wire = drain(Out[0]);
-  Server.join();
-  std::fclose(ServerIn);
-  ::close(Out[0]);
+  std::string Wire;
+  int Ret = -1;
+  ASSERT_NO_FATAL_FAILURE(runStdioBurst(Core, Burst, Wire, Ret));
 
   EXPECT_EQ(Ret, 0);
   const char *Pong = "\"cached\":false,\"result\":{\"status\":0,\"ok\":true,"
@@ -375,6 +383,34 @@ TEST(ServeProtocol, StdioTransportOverPipes) {
                 "{\"id\":null,\"cached\":false,\"result\":{\"status\":2,"
                 "\"ok\":false,\"error\":\"input ended mid-frame (missing "
                 "final newline)\"}}\n");
+}
+
+// A chk.a over a direct reference has no lowering: the verifier must
+// answer it with a status-2 frame, and the daemon must go on to answer
+// the ping behind it in the same stream.
+TEST(ServeProtocol, UnlowerableSpeculationFlagIsAVerifyError) {
+  ServerCore Core(testOptions());
+  std::string Burst =
+      "{\"id\":\"c\",\"op\":\"run\",\"program\":\"global a : int\\n"
+      "func main() -> int {\\nentry:\\n  st a = 7\\n"
+      "  t0 = ld<chk.a.clr> a\\n  print t0\\n  ret t0\\n}\\n\"}\n"
+      "{\"id\":\"p\",\"op\":\"ping\"}\n";
+  std::string Wire;
+  int Ret = -1;
+  ASSERT_NO_FATAL_FAILURE(runStdioBurst(Core, Burst, Wire, Ret));
+  EXPECT_EQ(Ret, 0);
+
+  size_t Eol = Wire.find('\n');
+  ASSERT_NE(Eol, std::string::npos) << Wire;
+  std::string Rejected = Wire.substr(0, Eol);
+  EXPECT_EQ(statusOf(Rejected), 2) << Rejected;
+  EXPECT_NE(Rejected.find("program verify error: main: 't0 = "
+                          "ld<chk.a.clr> a': chk.a needs"),
+            std::string::npos)
+      << Rejected;
+  EXPECT_EQ(Wire.substr(Eol + 1),
+            "{\"id\":\"p\",\"cached\":false,\"result\":{\"status\":0,"
+            "\"ok\":true,\"pong\":true}}\n");
 }
 
 /// Sends \p Line as one frame on \p Fd and returns the response frame
