@@ -356,11 +356,11 @@ SimResult srp::arch::simulate(const DecodedModule &DM,
     SRP_NEXT();
   }
   SRP_ALU(Mov, 1, A_)
-  SRP_ALU_PAIR(Add, 1, fromI(asI(A_) + asI(B_)))
-  SRP_ALU_PAIR(Sub, 1, fromI(asI(A_) - asI(B_)))
-  SRP_ALU_PAIR(Mul, MulLat, fromI(asI(A_) * asI(B_)))
-  SRP_ALU_PAIR(Div, DivLat, asI(B_) == 0 ? 0 : fromI(asI(A_) / asI(B_)))
-  SRP_ALU_PAIR(Rem, DivLat, asI(B_) == 0 ? 0 : fromI(asI(A_) % asI(B_)))
+  SRP_ALU_PAIR(Add, 1, A_ + B_)
+  SRP_ALU_PAIR(Sub, 1, A_ - B_)
+  SRP_ALU_PAIR(Mul, MulLat, A_ * B_)
+  SRP_ALU_PAIR(Div, DivLat, ir::divI64(A_, B_))
+  SRP_ALU_PAIR(Rem, DivLat, ir::remI64(A_, B_))
   SRP_ALU_PAIR(And, 1, A_ & B_)
   SRP_ALU_PAIR(Or, 1, A_ | B_)
   SRP_ALU_PAIR(Xor, 1, A_ ^ B_)
@@ -662,7 +662,7 @@ SimResult srp::arch::simulate(const DecodedModule &DM,
   SRP_HANDLER(FuseAddISt) {
     {
       const DecodedOp &I = *PC;
-      SRP_ALU_CORE(I, static_cast<uint64_t>(I.Imm), 1, fromI(asI(A_) + asI(B_)));
+      SRP_ALU_CORE(I, static_cast<uint64_t>(I.Imm), 1, A_ + B_);
     }
     SRP_MIDFUSE();
     {
@@ -675,7 +675,7 @@ SimResult srp::arch::simulate(const DecodedModule &DM,
   SRP_HANDLER(FuseAddSt) {
     {
       const DecodedOp &I = *PC;
-      SRP_ALU_CORE(I, Regs[I.Rs2], 1, fromI(asI(A_) + asI(B_)));
+      SRP_ALU_CORE(I, Regs[I.Rs2], 1, A_ + B_);
     }
     SRP_MIDFUSE();
     {
@@ -706,7 +706,7 @@ SimResult srp::arch::simulate(const DecodedModule &DM,
     SRP_MIDFUSE();
     {
       const DecodedOp &I = PC[1];
-      SRP_ALU_CORE(I, static_cast<uint64_t>(I.Imm), 1, fromI(asI(A_) + asI(B_)));
+      SRP_ALU_CORE(I, static_cast<uint64_t>(I.Imm), 1, A_ + B_);
     }
     PC += 2;
     SRP_NEXT();
@@ -757,13 +757,8 @@ SimResult srp::arch::simulate(const DecodedModule &DM,
 #undef SRP_NEXT
 
 Done:
+  // A trapped run reports what it retired up to the trap as well.
   Result.Output = std::move(Output);
-  if (Trapped) {
-    Result.Error = std::move(TrapMessage);
-    return Result;
-  }
-  Result.Ok = true;
-  Result.ExitValue = static_cast<int64_t>(Regs[RegRetInt]);
   Result.Counters.Cycles = Cycle;
   Result.Counters.Instructions = InstrCount;
   Result.Counters.RetiredLoads = NRetiredLoads;
@@ -781,6 +776,12 @@ Done:
   Result.Counters.L2Hits = Mem.l2Hits();
   Result.Counters.L2Misses = Mem.l2Misses();
   Result.Alat = Table.stats();
+  if (Trapped) {
+    Result.Error = std::move(TrapMessage);
+    return Result;
+  }
+  Result.Ok = true;
+  Result.ExitValue = static_cast<int64_t>(Regs[RegRetInt]);
   return Result;
 }
 

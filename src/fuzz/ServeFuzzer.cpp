@@ -69,6 +69,23 @@ std::string specProgram(RNG &R) {
   return Program;
 }
 
+/// The canned program with its add rewritten to a random integer op over
+/// edge operands (INT64_MIN / -1, overflowing add/sub/mul, wide shifts):
+/// both engines' arithmetic is total, so the server answers status 0.
+std::string arithProgram(RNG &R) {
+  static const char *const Ops[] = {"add", "sub", "mul", "div",
+                                    "rem", "shl", "shr"};
+  static const char *const Operands[] = {"-9223372036854775808", "-1", "0",
+                                         "9223372036854775807", "t0"};
+  const char *Op = Ops[R.nextBelow(std::size(Ops))];
+  const char *X = Operands[R.nextBelow(std::size(Operands))];
+  const char *Y = Operands[R.nextBelow(std::size(Operands))];
+  std::string Program = TinyProgram;
+  Program.replace(Program.find("t3 = add t0, 35"), 15,
+                  formatString("t3 = %s %s, %s", Op, X, Y));
+  return Program;
+}
+
 /// The server every oracle run fuzzes: deliberately tight limits so
 /// seed-derived inputs actually reach the oversized-frame, oversized-
 /// program, and cache-eviction paths.
@@ -102,7 +119,7 @@ std::string jsonQuoted(std::string_view S) {
 }
 
 std::string validFrame(RNG &R) {
-  switch (R.nextBelow(9)) {
+  switch (R.nextBelow(10)) {
   case 0:
     return "{\"id\":\"p\",\"op\":\"ping\"}";
   case 1:
@@ -125,6 +142,9 @@ std::string validFrame(RNG &R) {
                         (unsigned long long)R.nextBelow(6));
   case 7:
     return "{\"op\":\"run\",\"program\":" + jsonQuoted(specProgram(R)) +
+           "}";
+  case 8:
+    return "{\"op\":\"run\",\"program\":" + jsonQuoted(arithProgram(R)) +
            "}";
   default:
     return "{\"id\":\"s\",\"op\":\"shutdown\"}";

@@ -32,12 +32,12 @@ const char *typeName(TypeKind Kind);
 /// Operation performed by an Assign statement.
 enum class Opcode : uint8_t {
   Copy,
-  // Integer arithmetic / logic.
+  // Integer arithmetic / logic. Add, Sub and Mul wrap modulo 2^64.
   Add,
   Sub,
   Mul,
-  Div, ///< Signed division; division by zero yields 0 (defined for testing).
-  Rem, ///< Signed remainder; zero divisor yields 0.
+  Div, ///< Signed division (divI64): x / 0 = 0, INT64_MIN / -1 = INT64_MIN.
+  Rem, ///< Signed remainder (remI64): x % 0 = 0, x % -1 = 0.
   And,
   Or,
   Xor,
@@ -61,6 +61,21 @@ enum class Opcode : uint8_t {
   // keeps the IR small: Dst = (A != 0) ? B : B2 where B2 rides in C.
   Select,
 };
+
+/// Signed 64-bit division as the interpreter and the simulator execute
+/// it: total, so no operand pair traps the host.
+inline uint64_t divI64(uint64_t A, uint64_t B) {
+  auto SA = static_cast<int64_t>(A), SB = static_cast<int64_t>(B);
+  if (SB == 0)
+    return 0;
+  return SB == -1 ? 0 - A : static_cast<uint64_t>(SA / SB);
+}
+
+/// Signed 64-bit remainder, total like divI64.
+inline uint64_t remI64(uint64_t A, uint64_t B) {
+  auto SA = static_cast<int64_t>(A), SB = static_cast<int64_t>(B);
+  return SB == 0 || SB == -1 ? 0 : static_cast<uint64_t>(SA % SB);
+}
 
 /// Returns the mnemonic for \p Op (e.g. "add").
 const char *opcodeName(Opcode Op);

@@ -131,6 +131,13 @@ private:
       if ((S.Flag == SpecFlag::ChkA || S.Flag == SpecFlag::ChkAnc) &&
           (S.Ref.Depth != 1 || S.AddrSrc == NoTemp))
         stmtError(S, "chk.a needs a depth-1 reference and @addr(tN)");
+      // Lowering reads @addr(tN) only there and in an indirect ld.c;
+      // anywhere else the oracle would load from another address.
+      if (S.AddrSrc != NoTemp && S.Flag != SpecFlag::ChkA &&
+               S.Flag != SpecFlag::ChkAnc &&
+               !(S.Ref.isIndirect() &&
+                 (S.Flag == SpecFlag::LdC || S.Flag == SpecFlag::LdCnc)))
+        stmtError(S, "@addr(tN) needs an indirect ld.c or chk.a");
       break;
     case StmtKind::Store:
       verifyMemRef(S, S.Ref);

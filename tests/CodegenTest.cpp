@@ -12,6 +12,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 using namespace srp;
 using namespace srp::ir;
 using namespace srp::codegen;
@@ -65,6 +67,40 @@ TEST(CodegenTest, ArithmeticProgram) {
   B.emitPrint(Operand::temp(T3));
   B.setRet();
   checkAgainstInterpreter(M);
+}
+
+// INT64_MIN / -1 and INT64_MIN % -1 overflow in C++ (the host traps),
+// and add/sub/mul overflow is undefined there. Both engines define them
+// (ir::divI64, ir::remI64, wrapping add/sub/mul) and must agree on every
+// edge pair, in register and immediate form.
+TEST(CodegenTest, IntegerEdgeArithmeticIsTotal) {
+  const int64_t Edges[] = {INT64_MIN, -1, 0, 1, INT64_MAX};
+  const Opcode Ops[] = {Opcode::Add, Opcode::Sub, Opcode::Mul, Opcode::Div,
+                        Opcode::Rem};
+  Module M;
+  IRBuilder B(M);
+  B.startFunction("main");
+  for (Opcode Op : Ops)
+    for (int64_t X : Edges)
+      for (int64_t Y : Edges) {
+        unsigned TX = B.emitAssign(Opcode::Copy, Operand::constInt(X));
+        unsigned TY = B.emitAssign(Opcode::Copy, Operand::constInt(Y));
+        B.emitPrint(Operand::temp(
+            B.emitAssign(Op, Operand::temp(TX), Operand::temp(TY))));
+        B.emitPrint(Operand::temp(
+            B.emitAssign(Op, Operand::temp(TX), Operand::constInt(Y))));
+      }
+  B.setRet();
+  SimResult R = checkAgainstInterpreter(M);
+  // Output index of (Op, X, Y) in register form.
+  auto At = [&R](unsigned Op, unsigned X, unsigned Y) {
+    return R.Output.at(((Op * 5 + X) * 5 + Y) * 2);
+  };
+  EXPECT_EQ(At(3, 0, 1), "-9223372036854775808"); // INT64_MIN / -1
+  EXPECT_EQ(At(4, 0, 1), "0");                    // INT64_MIN % -1
+  EXPECT_EQ(At(0, 4, 3), "-9223372036854775808"); // INT64_MAX + 1
+  EXPECT_EQ(At(2, 4, 4), "1");                    // INT64_MAX * INT64_MAX
+  EXPECT_EQ(At(3, 3, 2), "0");                    // 1 / 0
 }
 
 TEST(CodegenTest, FloatProgram) {

@@ -5,8 +5,9 @@
 //
 //   compile.golden  promotion output per .sir input (CompileGoldenTest)
 //   sim.golden      every simulated number per run (DecodedModuleTest)
+//   interp.golden   every interpreted number per input (InterpGoldenTest)
 //
-// A change that is meant to alter a golden regenerates both with
+// A change that is meant to alter a golden regenerates all three with
 //
 //   SRP_GOLDEN_OUT=$PWD/tests/golden ctest --test-dir build -R 'Golden|Decoded'
 //

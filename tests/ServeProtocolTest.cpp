@@ -413,6 +413,42 @@ TEST(ServeProtocol, UnlowerableSpeculationFlagIsAVerifyError) {
             "\"ok\":true,\"pong\":true}}\n");
 }
 
+// INT64_MIN / -1 used to kill the daemon with SIGFPE before it answered
+// the ping behind it. Both engines now define it (ir::divI64), and an
+// @addr(tN) on a direct reference is a verify error.
+TEST(ServeProtocol, DivisionEdgeAnswersThenPing) {
+  ServerCore Core(testOptions());
+  std::string Burst =
+      "{\"id\":\"d\",\"op\":\"run\",\"program\":\"func main() -> int {\\n"
+      "entry:\\n  t0 = div -9223372036854775808, -1\\n"
+      "  t1 = rem -9223372036854775808, -1\\n  print t0\\n  print t1\\n"
+      "  ret t1\\n}\\n\"}\n"
+      "{\"id\":\"a\",\"op\":\"run\",\"program\":\"global a : int[2]\\n"
+      "global b : int\\nfunc main() -> int {\\nentry:\\n"
+      "  t3 = addrof b\\n  t0 = ld a[1] @addr(t3)\\n  ret t0\\n}\\n\"}\n"
+      "{\"id\":\"p\",\"op\":\"ping\"}\n";
+  std::string Wire;
+  int Ret = -1;
+  ASSERT_NO_FATAL_FAILURE(runStdioBurst(Core, Burst, Wire, Ret));
+  EXPECT_EQ(Ret, 0);
+
+  std::vector<std::string> Frames;
+  for (size_t At = 0, Eol; (Eol = Wire.find('\n', At)) != std::string::npos;
+       At = Eol + 1)
+    Frames.push_back(Wire.substr(At, Eol - At));
+  ASSERT_EQ(Frames.size(), 3u) << Wire;
+  EXPECT_EQ(statusOf(Frames[0]), 0) << Frames[0];
+  EXPECT_NE(Frames[0].find("\"output\":[\"-9223372036854775808\",\"0\"]"),
+            std::string::npos)
+      << Frames[0];
+  EXPECT_EQ(statusOf(Frames[1]), 2) << Frames[1];
+  EXPECT_NE(Frames[1].find("@addr(tN) needs an indirect ld.c or chk.a"),
+            std::string::npos)
+      << Frames[1];
+  EXPECT_EQ(Frames[2], "{\"id\":\"p\",\"cached\":false,\"result\":{"
+                       "\"status\":0,\"ok\":true,\"pong\":true}}");
+}
+
 /// Sends \p Line as one frame on \p Fd and returns the response frame
 /// (newline stripped; empty if the server closed first).
 std::string exchange(int Fd, const std::string &Line) {
