@@ -43,17 +43,11 @@ public:
   static constexpr unsigned UnknownTarget = ~0u;
 
   /// Records one observed target at \p Level (1-based) of the access at
-  /// statement \p StmtId in \p F. Hot interpreter loops record the same
-  /// (site, symbol) observation millions of times in a row, so the last
-  /// observation short-circuits the map-and-set insert.
+  /// statement \p StmtId in \p F. The interpreter calls it only when a
+  /// site's target differs from the site's previous one.
   void recordTarget(const ir::Function *F, unsigned StmtId, unsigned Level,
                     unsigned SymbolId) {
-    SiteKey Key{F->index(), StmtId, Level};
-    if (Key == LastKey && SymbolId == LastSym)
-      return;
-    Targets[Key].insert(SymbolId);
-    LastKey = Key;
-    LastSym = SymbolId;
+    Targets[SiteKey{F->index(), StmtId, Level}].insert(SymbolId);
   }
 
   /// True if \p Sym was ever a level-\p Level target of the site. Returns
@@ -82,23 +76,23 @@ private:
   };
 
   std::map<SiteKey, std::set<unsigned>> Targets;
-  /// Last recorded observation (see recordTarget); level 0 is never
-  /// recorded, so the initial key matches nothing.
-  SiteKey LastKey{0, 0, 0};
-  unsigned LastSym = 0;
 };
 
 /// Block and edge execution counts, in flat per-function tables indexed
 /// by block id.
 class EdgeProfile {
 public:
-  void countBlock(const ir::BasicBlock *BB) { ++at(BB).Count; }
+  /// Adds \p N entries of \p BB (the interpreter adds a run's counts at
+  /// its end).
+  void addBlock(const ir::BasicBlock *BB, uint64_t N) { at(BB).Count += N; }
 
-  void countEdge(const ir::BasicBlock *From, const ir::BasicBlock *To) {
+  /// Adds \p N traversals of the edge \p From -> \p To.
+  void addEdge(const ir::BasicBlock *From, const ir::BasicBlock *To,
+               uint64_t N) {
     for (Edge &E : at(From).Succs)
       if (E.To == To->getId() || E.To == NoBlock) {
         E.To = To->getId();
-        ++E.Count;
+        E.Count += N;
         return;
       }
     assert(false && "a block has at most two successors");
