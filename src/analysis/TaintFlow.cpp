@@ -186,7 +186,7 @@ private:
   /// Shadow the address-chain walk of \p S accumulates: the content of
   /// every level object the walk dereferences, plus the advanced load's
   /// own site bit (a chain cell an ld.a walks is itself speculative).
-  /// Mirrors Execution::computeAccessAddress's WalkShadow.
+  /// Mirrors the interpreter's chain-walk shadow (Engine::walk).
   Shadow walkShadow(const FunctionState &FS,
                     const ssa::LevelArray<ssa::ObjectId> *Levels,
                     const ir::Stmt &S) const {

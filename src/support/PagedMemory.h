@@ -6,7 +6,7 @@
 ///
 /// \file
 /// Sparse 64-bit word store backed by zero-initialized 64 KiB pages.
-/// Both execution engines (interp::Execution and the arch simulator)
+/// Both execution engines (the interpreter and the arch simulator)
 /// model a flat address space with three far-apart regions — globals,
 /// stack, heap — where unwritten words read as zero. A per-word hash map
 /// gives that semantics but costs a hash probe per access; this store
