@@ -20,11 +20,9 @@ int main(int argc, char **argv) {
 
   pre::PromotionConfig C = pre::PromotionConfig::alat();
   C.UseStA = true;
-  PipelineConfig Pipe = configFor(C);
-  Pipe.Sim.UseStA = true;
   ExperimentGrid G = runGridOrDie(
       workloads::standardWorkloads(),
-      {configFor(pre::PromotionConfig::alat()), Pipe}, Opts);
+      {configFor(pre::PromotionConfig::alat()), configFor(C)}, Opts);
 
   outs() << formatString("%-8s %12s %12s %12s %12s %10s\n", "bench",
                          "loads", "loads+st.a", "cycles", "cycles+st.a",

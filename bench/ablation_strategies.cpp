@@ -21,15 +21,13 @@ int main(int argc, char **argv) {
 
   pre::PromotionConfig StACfg = pre::PromotionConfig::alat();
   StACfg.UseStA = true;
-  PipelineConfig StAPipe = configFor(StACfg);
-  StAPipe.Sim.UseStA = true;
   PipelineConfig NoProf = configFor(pre::PromotionConfig::alat());
   NoProf.UseAliasProfile = false;
   ExperimentGrid G = runGridOrDie(
       workloads::standardWorkloads(),
       {configFor(pre::PromotionConfig::conservative()),
        configFor(pre::PromotionConfig::baselineO3()),
-       configFor(pre::PromotionConfig::alat()), StAPipe, NoProf},
+       configFor(pre::PromotionConfig::alat()), configFor(StACfg), NoProf},
       Opts);
 
   outs() << formatString("%-8s %12s %12s %12s %12s %14s\n", "bench",

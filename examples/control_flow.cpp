@@ -6,7 +6,8 @@
 // saves; the ALAT strategy instead clears the entry at a dominating
 // point (invala.e), makes the first occurrence an advanced load, and
 // turns the second into a checking load that is free exactly when the
-// first branch ran and nothing collided (§2.3, Figure 2).
+// first branch ran and nothing collided (§2.3, Figure 2). Exits 1
+// unless the simulated run prints what the training run printed.
 //
 // Build: cmake --build build && ./build/examples/control_flow
 //
@@ -115,7 +116,7 @@ int main() {
   interp::Interpreter Train(M);
   Train.setAliasProfile(&AP);
   Train.setEdgeProfile(&EP);
-  Train.run();
+  interp::RunResult Trained = Train.run();
 
   alias::SteensgaardAnalysis AA(M);
   pre::PromotionStats Stats = pre::promoteModule(
@@ -131,6 +132,11 @@ int main() {
   auto MM = codegen::lowerModule(M);
   codegen::allocateRegisters(*MM);
   arch::SimResult R = arch::simulate(*MM, arch::SimConfig());
+  if (!R.Ok || R.Output != Trained.Output) {
+    errs() << "simulated run differs from the interpreter: " << R.Error
+           << "\n";
+    return 1;
+  }
   outs() << "acc = " << R.Output[0] << "; ALAT checks "
          << R.Counters.AlatChecks << ", reloads "
          << R.Counters.AlatCheckFailures << "\n";

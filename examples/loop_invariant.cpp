@@ -4,6 +4,7 @@
 // compiler must assume `*q = ...` inside the loop may clobber it. With
 // ALAT speculation the load hoists to the preheader as ld.sa and each
 // iteration pays only a free ld.c.nc check after the store (§2.3).
+// Exits 1 unless the simulated run prints what the training run printed.
 //
 // Build: cmake --build build && ./build/examples/loop_invariant
 //
@@ -84,7 +85,7 @@ int main() {
   interp::Interpreter Train(M);
   Train.setAliasProfile(&AP);
   Train.setEdgeProfile(&EP);
-  Train.run();
+  interp::RunResult Trained = Train.run();
 
   alias::SteensgaardAnalysis AA(M);
   pre::promoteModule(M, AA, &AP, &EP, pre::PromotionConfig::alat());
@@ -96,6 +97,11 @@ int main() {
   auto MM = codegen::lowerModule(M);
   codegen::allocateRegisters(*MM);
   arch::SimResult R = arch::simulate(*MM, arch::SimConfig());
+  if (!R.Ok || R.Output != Trained.Output) {
+    errs() << "simulated run differs from the interpreter: " << R.Error
+           << "\n";
+    return 1;
+  }
   outs() << "sum = " << R.Output[0] << " (expect 100000)\n";
   outs() << "ALAT checks: " << R.Counters.AlatChecks << ", failures: "
          << R.Counters.AlatCheckFailures

@@ -7,7 +7,9 @@
 //
 // The demo runs twice: once on an input where the address speculation
 // holds (checks free), once where *q really redirects p (chk.a branches
-// into recovery and reloads the chain). Outputs stay correct either way.
+// into recovery and reloads the chain). Outputs stay correct either way:
+// the program exits 1 unless each simulated run prints what the
+// interpreter prints for the same input.
 //
 // Build: cmake --build build && ./build/examples/pointer_chase
 //
@@ -70,7 +72,7 @@ static void buildProgram(Module &M) {
   B.setRet();
 }
 
-static void runMode(const char *Label, int64_t Mode) {
+static bool runMode(const char *Label, int64_t Mode) {
   Module M;
   buildProgram(M);
   M.function(0)->recomputeCFG();
@@ -99,19 +101,28 @@ static void runMode(const char *Label, int64_t Mode) {
   auto MM = codegen::lowerModule(M);
   codegen::allocateRegisters(*MM);
   arch::SimResult R = arch::simulate(*MM, arch::SimConfig());
+  // The training run saw mode 0; the oracle for this input is an
+  // interpreter run of the program with the mode store in place.
+  interp::RunResult Oracle = interp::Interpreter(M).run();
+  if (!R.Ok || R.Output != Oracle.Output) {
+    errs() << Label << ": simulated run differs from the interpreter: "
+           << R.Error << "\n";
+    return false;
+  }
 
   outs() << Label << ": output = " << R.Output[0] << ", " << R.Output[1]
          << "; chk.a recoveries = " << R.Counters.ChkARecoveries
          << "; cascade checks planned = " << Stats.CascadeChecks << "\n";
+  return true;
 }
 
 int main() {
   outs() << "Figure 4 cascade demo: *p promoted while p itself may be "
             "redirected by *q = ...\n\n";
-  runMode("no collision (q -> b)  ", 0);
-  runMode("collision    (q -> p)  ", 1);
+  bool Ok = runMode("no collision (q -> b)  ", 0);
+  Ok = runMode("collision    (q -> p)  ", 1) && Ok;
   outs() << "\nexpected: first line prints 51, 53 with zero recoveries; "
             "second prints 51, 63 after a chk.a recovery reloaded both "
             "the pointer and the data.\n";
-  return 0;
+  return Ok ? 0 : 1;
 }

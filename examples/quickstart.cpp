@@ -10,7 +10,8 @@
 // We build the IR, collect an alias profile (at run time p points at b),
 // run speculative register promotion, print the transformed IR (watch
 // the ld.a / ld.c.nc flags appear), and simulate both versions on the
-// ITA machine to compare cycles.
+// ITA machine to compare cycles. Exits 1 unless both simulated runs
+// print what the interpreter's training run printed.
 //
 // Build: cmake --build build && ./build/examples/quickstart
 //
@@ -77,7 +78,7 @@ int main() {
   interp::AliasProfile Profile;
   interp::Interpreter Train(M);
   Train.setAliasProfile(&Profile);
-  Train.run();
+  interp::RunResult Trained = Train.run();
 
   alias::SteensgaardAnalysis AA(M);
   pre::PromotionStats Stats = pre::promoteModule(
@@ -90,6 +91,12 @@ int main() {
          << ", advanced loads: " << Stats.AdvancedLoads << "\n";
 
   arch::SimResult Spec = compileAndSimulate(M);
+  for (const arch::SimResult *R : {&Base, &Spec})
+    if (!R->Ok || R->Output != Trained.Output) {
+      errs() << "simulated run differs from the interpreter: " << R->Error
+             << "\n";
+      return 1;
+    }
   outs() << "\n--- simulation (ITA machine, ALAT enabled) ---\n";
   outs() << "output: " << Spec.Output[0] << ", " << Spec.Output[1]
          << "  (baseline: " << Base.Output[0] << ", " << Base.Output[1]

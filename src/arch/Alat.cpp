@@ -6,18 +6,14 @@
 
 using namespace srp::arch;
 
-Alat::Alat(const AlatConfig &Config) : Config(Config) {
+Alat::Alat(const AlatConfig &Config, const FaultPlan &Faults)
+    : Config(Config), Faults(Faults), FaultRng(Faults.Seed) {
   assert(Config.Ways >= 1 && Config.Entries >= Config.Ways &&
          "degenerate ALAT geometry");
   NumSets = Config.Entries / Config.Ways;
   if (NumSets == 0)
     NumSets = 1;
   Table.assign(NumSets * Config.Ways, Entry());
-}
-
-Alat::Alat(const AlatConfig &Config, const FaultPlan &Plan) : Alat(Config) {
-  Faults = Plan;
-  FaultRng = RNG(Plan.Seed);
 }
 
 // Fault injection only ever drops entries or forces misses (see
@@ -27,10 +23,9 @@ Alat::Alat(const AlatConfig &Config, const FaultPlan &Plan) : Alat(Config) {
 // pure function of (plan seed, event sequence) and replays exactly.
 
 void Alat::dropRandomValidEntry(uint64_t &Counter) {
-  unsigned Valid = numValidEntries();
-  if (Valid == 0)
+  if (NumValid == 0)
     return;
-  unsigned Pick = static_cast<unsigned>(FaultRng.nextBelow(Valid));
+  unsigned Pick = static_cast<unsigned>(FaultRng.nextBelow(NumValid));
   for (Entry &E : Table) {
     if (!E.Valid)
       continue;
@@ -44,59 +39,28 @@ void Alat::dropRandomValidEntry(uint64_t &Counter) {
 }
 
 void Alat::faultSpuriousInvalidate() {
-  if (Faults.SpuriousInvalidateProb <= 0.0)
-    return;
-  if (FaultRng.nextBool(Faults.SpuriousInvalidateProb))
+  if (Faults.SpuriousInvalidateProb > 0.0 &&
+      FaultRng.nextBool(Faults.SpuriousInvalidateProb))
     dropRandomValidEntry(Stats.Faults.SpuriousInvalidations);
 }
 
-void Alat::faultCapacitySqueeze() {
+void Alat::faultsAfterAllocate() {
+  faultSpuriousInvalidate();
   if (Faults.CapacityLimit == 0)
     return;
-  while (numValidEntries() > Faults.CapacityLimit)
+  while (NumValid > Faults.CapacityLimit)
     dropRandomValidEntry(Stats.Faults.CapacityDrops);
 }
 
-bool Alat::faultForcesMiss() {
-  return Faults.ForcedMissProb > 0.0 &&
-         FaultRng.nextBool(Faults.ForcedMissProb);
-}
-
-void Alat::allocateSlow(unsigned Reg, uint64_t Addr) {
-  ++Stats.Allocations;
-  if (Entry *E = findEntry(Reg)) {
-    E->Addr = Addr;
-    TagBloom |= uint64_t(1) << bloomBit(partialTag(Addr));
-    if (Faults.enabled()) {
-      faultSpuriousInvalidate();
-      faultCapacitySqueeze();
+void Alat::faultsBeforeCheck(unsigned Reg) {
+  faultSpuriousInvalidate();
+  if (Faults.ForcedMissProb > 0.0 &&
+      FaultRng.nextBool(Faults.ForcedMissProb)) {
+    if (Entry *E = findEntry(Reg)) {
+      E->Valid = false;
+      noteDropped();
+      ++Stats.Faults.ForcedMisses;
     }
-    return;
-  }
-  unsigned Set = setOf(Reg);
-  // Prefer an invalid way; otherwise evict the first way (the table has
-  // no use-ordering; entries are short-lived).
-  Entry *Victim = nullptr;
-  for (unsigned W = 0; W < Config.Ways; ++W) {
-    Entry &E = Table[Set * Config.Ways + W];
-    if (!E.Valid) {
-      Victim = &E;
-      break;
-    }
-  }
-  if (!Victim) {
-    Victim = &Table[Set * Config.Ways];
-    ++Stats.CapacityEvictions;
-  }
-  if (!Victim->Valid)
-    ++NumValid;
-  Victim->Valid = true;
-  Victim->Reg = Reg;
-  Victim->Addr = Addr;
-  TagBloom |= uint64_t(1) << bloomBit(partialTag(Addr));
-  if (Faults.enabled()) {
-    faultSpuriousInvalidate();
-    faultCapacitySqueeze();
   }
 }
 
@@ -124,7 +88,7 @@ void Alat::storeNotifyScan(uint64_t Addr, uint64_t Tag) {
 void Alat::allocateFill(unsigned Reg, uint64_t Addr) {
   unsigned Set = setOf(Reg);
   // Prefer an invalid way; otherwise evict the first way (the table has
-  // no use-ordering; entries are short-lived). Mirrors allocateSlow.
+  // no use-ordering; entries are short-lived).
   Entry *Victim = nullptr;
   for (unsigned W = 0; W < Config.Ways; ++W) {
     Entry &E = Table[Set * Config.Ways + W];
@@ -145,49 +109,9 @@ void Alat::allocateFill(unsigned Reg, uint64_t Addr) {
   TagBloom |= uint64_t(1) << bloomBit(partialTag(Addr));
 }
 
-bool Alat::checkSlow(unsigned Reg, uint64_t Addr, bool Clear) {
-  if (Faults.enabled()) {
-    faultSpuriousInvalidate();
-    if (faultForcesMiss()) {
-      if (Entry *E = findEntry(Reg)) {
-        E->Valid = false;
-        noteDropped();
-        ++Stats.Faults.ForcedMisses;
-      }
-    }
-  }
-  Entry *E = findEntry(Reg);
-  if (!E || E->Addr != Addr) {
-    ++Stats.CheckMisses;
-    return false;
-  }
-  ++Stats.CheckHits;
-  if (Clear) {
-    E->Valid = false;
-    noteDropped();
-  }
-  return true;
-}
-
-bool Alat::checkRegisterSlow(unsigned Reg) {
-  if (Faults.enabled()) {
-    faultSpuriousInvalidate();
-    if (faultForcesMiss()) {
-      if (Entry *E = findEntry(Reg)) {
-        E->Valid = false;
-        noteDropped();
-        ++Stats.Faults.ForcedMisses;
-      }
-    }
-  }
-  return findEntry(Reg) != nullptr;
-}
-
 void Alat::invalidateRegister(unsigned Reg) {
   if (Entry *E = findEntry(Reg)) {
     E->Valid = false;
     noteDropped();
   }
 }
-
-unsigned Alat::numValidEntries() const { return NumValid; }

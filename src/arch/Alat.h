@@ -55,26 +55,25 @@ struct AlatStats {
 /// The table itself.
 class Alat {
 public:
-  explicit Alat(const AlatConfig &Config);
+  /// A table with an optional fault-injection schedule (FaultPlan.h). A
+  /// disabled plan, the default, leaves every operation's behaviour that
+  /// of a table with no fault layer.
+  explicit Alat(const AlatConfig &Config, const FaultPlan &Faults = {});
 
-  /// A table with a fault-injection schedule attached (FaultPlan.h). A
-  /// disabled plan behaves bit-identically to the plain constructor.
-  Alat(const AlatConfig &Config, const FaultPlan &Faults);
-
-  /// Allocates (or refreshes) the entry for \p Reg covering \p Addr.
-  /// Runs once per advanced load; the no-fault refresh path (the common
-  /// case: promoted loops re-allocate the same register every
-  /// iteration) stays inline.
+  /// Allocates (or refreshes) the entry for \p Reg covering \p Addr, then
+  /// runs the fault hooks. Runs once per advanced load; the refresh path
+  /// (the common case: promoted loops re-allocate the same register
+  /// every iteration) stays inline.
   void allocate(unsigned Reg, uint64_t Addr) {
-    if (Faults.enabled())
-      return allocateSlow(Reg, Addr);
     ++Stats.Allocations;
     if (Entry *E = findEntry(Reg)) {
       E->Addr = Addr;
       TagBloom |= uint64_t(1) << bloomBit(partialTag(Addr));
-      return;
+    } else {
+      allocateFill(Reg, Addr);
     }
-    allocateFill(Reg, Addr);
+    if (Faults.enabled())
+      faultsAfterAllocate();
   }
 
   /// A store to \p Addr: invalidates every entry whose partial tag
@@ -89,12 +88,12 @@ public:
     storeNotifyScan(Addr, Tag);
   }
 
-  /// True if \p Reg has a valid entry whose recorded address is \p Addr.
-  /// \p Clear removes the entry on a hit (the .clr completer). Runs once
-  /// per check load; inline except under fault injection.
+  /// True if \p Reg has a valid entry whose recorded address is \p Addr,
+  /// after the fault hooks ran. \p Clear removes the entry on a hit (the
+  /// .clr completer). Runs once per check load.
   bool check(unsigned Reg, uint64_t Addr, bool Clear) {
     if (Faults.enabled())
-      return checkSlow(Reg, Addr, Clear);
+      faultsBeforeCheck(Reg);
     Entry *E = findEntry(Reg);
     if (!E || E->Addr != Addr) {
       ++Stats.CheckMisses;
@@ -108,12 +107,12 @@ public:
     return true;
   }
 
-  /// chk.a-style query: valid entry for \p Reg (address already verified
-  /// at allocation; the recovery reloads everything anyway). Non-const:
-  /// an attached FaultPlan may invalidate entries during the check.
+  /// chk.a-style query: valid entry for \p Reg after the fault hooks ran
+  /// (address already verified at allocation; the recovery reloads
+  /// everything anyway).
   bool checkRegister(unsigned Reg) {
     if (Faults.enabled())
-      return checkRegisterSlow(Reg);
+      faultsBeforeCheck(Reg);
     return findEntry(Reg) != nullptr;
   }
 
@@ -121,7 +120,7 @@ public:
   void invalidateRegister(unsigned Reg);
 
   const AlatStats &stats() const { return Stats; }
-  unsigned numValidEntries() const;
+  unsigned numValidEntries() const { return NumValid; }
 
 private:
   struct Entry {
@@ -147,11 +146,6 @@ private:
 
   void storeNotifyScan(uint64_t Addr, uint64_t Tag);
 
-  /// Fault-injection variants of the inline fast paths above;
-  /// behaviour is bit-identical when the plan is disabled.
-  bool checkSlow(unsigned Reg, uint64_t Addr, bool Clear);
-  bool checkRegisterSlow(unsigned Reg);
-  void allocateSlow(unsigned Reg, uint64_t Addr);
   /// Miss half of allocate(): victim selection and fill.
   void allocateFill(unsigned Reg, uint64_t Addr);
 
@@ -163,14 +157,14 @@ private:
         return &SetBase[W];
     return nullptr;
   }
-  const Entry *findEntry(unsigned Reg) const {
-    return const_cast<Alat *>(this)->findEntry(Reg);
-  }
 
-  /// Fault hooks (no-ops when Faults is disabled): \see FaultPlan.
+  /// Fault hooks, run only when Faults is enabled (\see FaultPlan):
+  /// after an allocation, a spurious invalidation then the capacity
+  /// squeeze; before a check, a spurious invalidation then the forced
+  /// miss of \p Reg's entry.
+  void faultsAfterAllocate();
+  void faultsBeforeCheck(unsigned Reg);
   void faultSpuriousInvalidate();
-  void faultCapacitySqueeze();
-  bool faultForcesMiss();
   void dropRandomValidEntry(uint64_t &Counter);
 
   AlatConfig Config;
@@ -192,8 +186,8 @@ private:
       TagBloom = 0;
   }
   AlatStats Stats;
-  FaultPlan Faults;   ///< Disabled by default.
-  RNG FaultRng{0};    ///< Only drawn from when Faults.enabled().
+  FaultPlan Faults; ///< Disabled by default.
+  RNG FaultRng;     ///< Only drawn from when Faults.enabled().
 };
 
 } // namespace srp::arch

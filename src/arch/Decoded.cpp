@@ -20,15 +20,6 @@ using namespace srp;
 using namespace srp::arch;
 using namespace srp::codegen;
 
-const char *srp::arch::dopKindName(DOpKind K) {
-  static const char *const Names[] = {
-#define SRP_DECODED_KIND_NAME(N) #N,
-      SRP_DECODED_OP_KINDS(SRP_DECODED_KIND_NAME)
-#undef SRP_DECODED_KIND_NAME
-  };
-  return Names[static_cast<unsigned>(K)];
-}
-
 namespace {
 
 /// NoReg and virtual registers sit outside the physical file; both fold
@@ -321,16 +312,9 @@ DecodedModule::DecodedModule(const MModule &M) {
     DecodedFunction DF;
     DF.Name = internCStr(A, F.getName());
     DF.EntryPC = Base;
-    DF.FirstOp = Base;
-    DF.NumOps = static_cast<uint32_t>(Stream.size()) - Base;
     DF.StackedRegsUsed = F.StackedRegsUsed;
     DF.IntHigh = F.StackedRegHigh;
     DF.FpHigh = F.FpRegHigh;
-    std::vector<uint32_t> Global(Start);
-    for (uint32_t &S : Global)
-      S += Base;
-    DF.BlockStarts = A.copyArray(Global.data(), Global.size());
-    DF.NumBlocks = NumBlocks;
     Funcs.push_back(DF);
 
     if (F.getName() == "main")

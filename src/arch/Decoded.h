@@ -21,9 +21,7 @@
 ///  * one flat `DecodedOp[]` covering every function — branch/call/resume
 ///    targets are *indices into this stream*, never block ids;
 ///  * a `DecodedFunction[]` side table (entry index, RSE frame size, save
-///    window bounds, name for trap messages, block-start table);
-///  * per-function `BlockStarts[]` mapping original block ids to stream
-///    indices (introspection + tests; the executor never consults it).
+///    window bounds, name for trap messages).
 ///
 /// Decode-time invariants the executor relies on:
 ///  * Every basic block is followed by a `FellOff` sentinel micro-op, and
@@ -85,10 +83,9 @@ namespace srp::arch {
 inline constexpr uint16_t DummyReg =
     static_cast<uint16_t>(codegen::FirstVirtualReg);
 
-/// Micro-op kinds. X-macro so the executor's jump table, the kind names
-/// and the enum can never drift out of sync. Order is the
-/// dispatch-table order; `FellOff` must stay last (the budget check
-/// exempts it, see the executor).
+/// Micro-op kinds. X-macro so the executor's jump table and the enum can
+/// never drift out of sync. Order is the dispatch-table order; `FellOff`
+/// must stay last (the budget check exempts it, see the executor).
 #define SRP_DECODED_OP_KINDS(X)                                                \
   X(MovI) X(Mov)                                                               \
   X(Add) X(AddI) X(Sub) X(SubI) X(Mul) X(MulI) X(Div) X(DivI)                  \
@@ -115,9 +112,6 @@ enum class DOpKind : uint8_t {
 inline constexpr unsigned NumDOpKinds =
     static_cast<unsigned>(DOpKind::FellOff) + 1;
 
-/// Returns the micro-op mnemonic (enumerator name).
-const char *dopKindName(DOpKind K);
-
 /// One decoded micro-op: 32 bytes, no padding holes (byte-stable decode
 /// output is memcmp-testable), trivially copyable for arena residence.
 struct DecodedOp {
@@ -143,13 +137,9 @@ static_assert(std::is_trivially_copyable_v<DecodedOp>);
 struct DecodedFunction {
   const char *Name = nullptr; ///< Null-terminated, arena-backed.
   uint32_t EntryPC = 0;       ///< Stream index of block 0 (or sentinel).
-  uint32_t FirstOp = 0;       ///< This function's slice of the stream.
-  uint32_t NumOps = 0;
   uint32_t StackedRegsUsed = 0; ///< RSE frame size (rseCall/rseReturn).
   uint32_t IntHigh = 0; ///< Save windows around calls *into* this
   uint32_t FpHigh = 0;  ///< function: [FirstStackedReg, IntHigh) etc.
-  const uint32_t *BlockStarts = nullptr; ///< Block id -> stream index.
-  uint32_t NumBlocks = 0;
 };
 
 /// The decode-once, simulate-many form of a lowered module. Immutable
@@ -170,7 +160,7 @@ public:
   uint32_t mainIndex() const { return MainIdx; }
 
 private:
-  Arena A; ///< Owns the stream, block tables, and name strings.
+  Arena A; ///< Owns the stream and the name strings.
   const DecodedOp *Ops = nullptr;
   uint32_t NumOps = 0;
   std::vector<DecodedFunction> Funcs;

@@ -81,16 +81,8 @@ SimResult srp::arch::simulate(const DecodedModule &DM,
   const DecodedFunction *const Funcs = DM.functions().data();
 
   // Config knobs latched once.
-  const unsigned IssueW = Config.IssueWidth;
   const uint64_t MaxInstrs = Config.MaxInstructions;
-  const unsigned TakenPen = Config.TakenBranchPenalty;
-  const unsigned CallPen = Config.CallPenalty;
   const unsigned ChkPen = Config.ChkMissPenalty;
-  const unsigned MulLat = Config.MulLatency;
-  const unsigned DivLat = Config.DivLatency;
-  const unsigned FpLat = Config.FpLatency;
-  const unsigned FpDivLat = Config.FpDivLatency;
-  const bool UseStA = Config.UseStA;
 
   Alat Table(Config.Alat, Config.Faults);
   MemoryHierarchy Mem;
@@ -186,7 +178,7 @@ SimResult srp::arch::simulate(const DecodedModule &DM,
   };
 
   auto issueTail = [&]() SRP_AI {
-    if (++SlotsUsed >= IssueW) {
+    if (++SlotsUsed >= timing::IssueWidth) {
       ++Cycle;
       SlotsUsed = 0;
     }
@@ -245,7 +237,7 @@ SimResult srp::arch::simulate(const DecodedModule &DM,
       uint64_t D = RseTotal - RseSpilled - NumStackedRegs;
       RseSpilled += D;
       NRseSpills += D;
-      NRseCycles += D * Config.RsePerRegCycles;
+      NRseCycles += D * timing::RsePerRegCycles;
     }
   };
   auto rseReturn = [&](uint32_t N) {
@@ -254,7 +246,7 @@ SimResult srp::arch::simulate(const DecodedModule &DM,
       uint64_t D = RseSpilled - RseTotal;
       RseSpilled -= D;
       NRseFills += D;
-      NRseCycles += D * Config.RsePerRegCycles;
+      NRseCycles += D * timing::RsePerRegCycles;
     }
   };
   auto performLoad = [&](uint64_t Addr, bool Fp) SRP_AI -> uint64_t {
@@ -358,9 +350,9 @@ SimResult srp::arch::simulate(const DecodedModule &DM,
   SRP_ALU(Mov, 1, A_)
   SRP_ALU_PAIR(Add, 1, A_ + B_)
   SRP_ALU_PAIR(Sub, 1, A_ - B_)
-  SRP_ALU_PAIR(Mul, MulLat, A_ * B_)
-  SRP_ALU_PAIR(Div, DivLat, ir::divI64(A_, B_))
-  SRP_ALU_PAIR(Rem, DivLat, ir::remI64(A_, B_))
+  SRP_ALU_PAIR(Mul, timing::MulLatency, A_ * B_)
+  SRP_ALU_PAIR(Div, timing::DivLatency, ir::divI64(A_, B_))
+  SRP_ALU_PAIR(Rem, timing::DivLatency, ir::remI64(A_, B_))
   SRP_ALU_PAIR(And, 1, A_ & B_)
   SRP_ALU_PAIR(Or, 1, A_ | B_)
   SRP_ALU_PAIR(Xor, 1, A_ ^ B_)
@@ -371,14 +363,14 @@ SimResult srp::arch::simulate(const DecodedModule &DM,
   SRP_ALU_PAIR(CmpNe, 1, asI(A_) != asI(B_))
   SRP_ALU_PAIR(CmpLt, 1, asI(A_) < asI(B_))
   SRP_ALU_PAIR(CmpLe, 1, asI(A_) <= asI(B_))
-  SRP_ALU_PAIR(FAdd, FpLat, fromD(asD(A_) + asD(B_)))
-  SRP_ALU_PAIR(FSub, FpLat, fromD(asD(A_) - asD(B_)))
-  SRP_ALU_PAIR(FMul, FpLat, fromD(asD(A_) * asD(B_)))
-  SRP_ALU_PAIR(FDiv, FpDivLat,
+  SRP_ALU_PAIR(FAdd, timing::FpLatency, fromD(asD(A_) + asD(B_)))
+  SRP_ALU_PAIR(FSub, timing::FpLatency, fromD(asD(A_) - asD(B_)))
+  SRP_ALU_PAIR(FMul, timing::FpLatency, fromD(asD(A_) * asD(B_)))
+  SRP_ALU_PAIR(FDiv, timing::FpDivLatency,
                fromD(asD(B_) == 0.0 ? 0.0 : asD(A_) / asD(B_)))
-  SRP_ALU_PAIR(FCmpLt, FpLat, asD(A_) < asD(B_))
-  SRP_ALU(ICvtF, FpLat, fromD(static_cast<double>(asI(A_))))
-  SRP_ALU(FCvtI, FpLat, fromI(static_cast<int64_t>(asD(A_))))
+  SRP_ALU_PAIR(FCmpLt, timing::FpLatency, asD(A_) < asD(B_))
+  SRP_ALU(ICvtF, timing::FpLatency, fromD(static_cast<double>(asI(A_))))
+  SRP_ALU(FCvtI, timing::FpLatency, fromI(static_cast<int64_t>(asD(A_))))
 
   SRP_HANDLER(Sel) {
     const DecodedOp &I = *PC;
@@ -462,10 +454,6 @@ SimResult srp::arch::simulate(const DecodedModule &DM,
     Mem.store(Addr);
     Table.storeNotify(Addr);
     ++NRetiredStores;
-    if (SRP_UNLIKELY(!UseStA)) {
-      trap("st.a executed on a machine without the st.a extension");
-      goto Done;
-    }
     // The §2.5 extension: the store itself allocates the entry.
     Table.allocate(I.Rs2, Addr);
     if (SRP_UNLIKELY(Trapped))
@@ -522,14 +510,14 @@ SimResult srp::arch::simulate(const DecodedModule &DM,
     const DecodedOp &I = *PC;
     issue0();
     PC = Ops + I.Target;
-    takenBranch(TakenPen);
+    takenBranch(timing::TakenBranchPenalty);
     SRP_NEXT();
   }
   SRP_HANDLER(BrCond) {
     const DecodedOp &I = *PC;
     issue2(I);
     PC = Ops + (Regs[I.Rs1] != 0 ? I.Target : I.Aux);
-    takenBranch(TakenPen);
+    takenBranch(timing::TakenBranchPenalty);
     SRP_NEXT();
   }
   SRP_HANDLER(ChkA) {
@@ -564,7 +552,7 @@ SimResult srp::arch::simulate(const DecodedModule &DM,
     rseCall(Callee.StackedRegsUsed);
     CurFunc = I.Aux;
     PC = Ops + Callee.EntryPC;
-    takenBranch(CallPen);
+    takenBranch(timing::CallPenalty);
     SRP_NEXT();
   }
   SRP_HANDLER(Ret) {
@@ -594,7 +582,7 @@ SimResult srp::arch::simulate(const DecodedModule &DM,
       RL[R] = C2 | (RL[R] & 1);
     CurFunc = RP.FuncIdx;
     PC = Ops + RP.ResumePC;
-    takenBranch(CallPen);
+    takenBranch(timing::CallPenalty);
     SRP_NEXT();
   }
   SRP_HANDLER(Nop) {
@@ -734,7 +722,7 @@ SimResult srp::arch::simulate(const DecodedModule &DM,
       const DecodedOp &I = PC[1];
       issue2(I);
       PC = Ops + (Regs[I.Rs1] != 0 ? I.Target : I.Aux);
-      takenBranch(TakenPen);
+      takenBranch(timing::TakenBranchPenalty);
     }
     SRP_NEXT();
   }

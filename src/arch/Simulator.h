@@ -37,25 +37,32 @@
 
 namespace srp::arch {
 
-/// Timing and machine-configuration knobs. The cache hierarchy has none:
-/// its geometry and latencies are constants (MemoryHierarchy).
+/// The fixed core's timing. The paper models one Itanium and varies only
+/// the ALAT geometry and the chk.a recovery cost (SimConfig); everything
+/// else is a constant, like the cache latencies (MemoryHierarchy). The
+/// machine always implements st.a (§2.5): whether code uses it is the
+/// promoter's choice (pre::PromotionConfig::UseStA).
+namespace timing {
+inline constexpr unsigned IssueWidth = 6; ///< Two bundles of three.
+inline constexpr unsigned TakenBranchPenalty = 1; ///< Bubble per taken branch.
+inline constexpr unsigned CallPenalty = 2;
+inline constexpr unsigned MulLatency = 3;
+inline constexpr unsigned DivLatency = 12;
+inline constexpr unsigned FpLatency = 4; ///< FP ALU (Itanium FMAC ~ 4-5).
+inline constexpr unsigned FpDivLatency = 30;
+inline constexpr unsigned RsePerRegCycles = 2; ///< RSE spill/fill per reg.
+} // namespace timing
+
+/// What a run may vary: the ALAT, its fault schedule, the chk.a recovery
+/// cost and the instruction budget.
 struct SimConfig {
   AlatConfig Alat;
   /// Optional ALAT fault-injection schedule (FaultPlan.h); disabled by
   /// default, in which case the simulation is bit-identical to a build
   /// without the fault layer.
   FaultPlan Faults;
-  unsigned IssueWidth = 6;          ///< Two bundles of three.
-  unsigned TakenBranchPenalty = 1;  ///< Pipeline bubble per taken branch.
-  unsigned CallPenalty = 2;
-  unsigned ChkMissPenalty = 15;     ///< Light-weight trap plus branches.
-  unsigned MulLatency = 3;
-  unsigned DivLatency = 12;
-  unsigned FpLatency = 4;           ///< FP ALU (Itanium FMAC ~ 4-5).
-  unsigned FpDivLatency = 30;
-  unsigned RsePerRegCycles = 2;     ///< Mandatory RSE spill/fill cost.
+  unsigned ChkMissPenalty = 15; ///< Light-weight trap plus branches.
   uint64_t MaxInstructions = 400'000'000;
-  bool UseStA = true;               ///< st.a implemented (else it traps).
 };
 
 /// Architecture event counters (the pfmon substitute).

@@ -31,8 +31,6 @@ std::string srp::core::validatePipelineConfig(const PipelineConfig &Config) {
   if (A.PartialTagBits == 0 || A.PartialTagBits > 63)
     return formatString("ALAT partial tag width (%u) must be in [1, 63]",
                         A.PartialTagBits);
-  if (Config.Sim.IssueWidth == 0)
-    return "issue width must be at least 1";
   if (Config.Sim.MaxInstructions == 0)
     return "simulator instruction budget must be positive";
   if (Config.InterpFuel == 0)

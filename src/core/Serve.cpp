@@ -4,8 +4,8 @@
 
 #include "core/Experiment.h"
 #include "core/Pass.h"
-#include "ir/Fingerprint.h"
 #include "ir/Parser.h"
+#include "ir/Printer.h"
 #include "ir/Verifier.h"
 #include "support/JSON.h"
 #include "support/JSONReader.h"
@@ -236,7 +236,7 @@ struct ServerCore::RunRequest {
   std::string IdJson = "null"; ///< Echoed request id, already JSON.
   const Workload *W = nullptr; ///< The named workload; null for a program.
   uint64_t TrainScale = 0, RefScale = 0;
-  std::string CanonicalProgram; ///< ir::canonicalModuleText of the input.
+  std::string CanonicalProgram; ///< ir::moduleToString of the input.
   PipelineConfig Config;
   std::string CanonicalKey;
 };
@@ -510,7 +510,7 @@ std::string ServerCore::handle(const std::string &Line) {
     std::vector<std::string> Errors = ir::verifyModule(M);
     if (!Errors.empty())
       return Fail(2, "program verify error: " + Errors.front());
-    Req.CanonicalProgram = ir::canonicalModuleText(M);
+    Req.CanonicalProgram = ir::moduleToString(M);
     // The full canonical text rides in the key — collision freedom by
     // construction.
     Req.CanonicalKey = "p/" + ConfigKey + "\n" + Req.CanonicalProgram;

@@ -10,28 +10,6 @@
 using namespace srp;
 using namespace srp::ir;
 
-const char *srp::ir::stmtKindName(StmtKind Kind) {
-  switch (Kind) {
-  case StmtKind::Assign:
-    return "assign";
-  case StmtKind::Load:
-    return "load";
-  case StmtKind::Store:
-    return "store";
-  case StmtKind::AddrOf:
-    return "addrof";
-  case StmtKind::Alloc:
-    return "alloc";
-  case StmtKind::Call:
-    return "call";
-  case StmtKind::Invala:
-    return "invala";
-  case StmtKind::Print:
-    return "print";
-  }
-  SRP_UNREACHABLE("invalid StmtKind");
-}
-
 //===----------------------------------------------------------------------===//
 // BasicBlock
 //===----------------------------------------------------------------------===//
@@ -199,18 +177,4 @@ void Module::reset() {
   HeapSites.clear();
   Symbols.clear();
   IRArena.reset();
-}
-
-const char *srp::ir::symbolKindName(SymbolKind Kind) {
-  switch (Kind) {
-  case SymbolKind::Global:
-    return "global";
-  case SymbolKind::Local:
-    return "local";
-  case SymbolKind::Formal:
-    return "formal";
-  case SymbolKind::HeapSite:
-    return "heapsite";
-  }
-  SRP_UNREACHABLE("invalid SymbolKind");
 }

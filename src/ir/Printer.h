@@ -38,7 +38,14 @@ std::string stmtToString(const Stmt &S);
 /// Returns the memory reference as a string, e.g. "*p", "buf[t3]".
 std::string memRefToString(const MemRef &Ref);
 
-/// Returns the whole module as a string.
+/// Returns the whole module as a string: its canonical form. Parsing
+/// normalizes away whitespace, comments and formatting, and the printer
+/// emits functions, blocks, symbols and statements in their defined
+/// order with one fixed spelling, so two inputs that parse to the same
+/// program print byte-identical text, and printing a parse of the text
+/// reproduces it (pinned by ResultCacheTest over the fuzz-repro corpus).
+/// The serve cache keys inline programs on this text and compares it on
+/// lookup (core::ResultCache), so a hash of it is never an identity.
 std::string moduleToString(const Module &M);
 
 } // namespace srp::ir

@@ -34,9 +34,6 @@ enum class StmtKind : uint8_t {
   Print,  ///< Emit A to the program's observable output stream
 };
 
-/// Returns a printable name for \p Kind.
-const char *stmtKindName(StmtKind Kind);
-
 /// One IR statement. Field use by kind:
 ///   Assign: Dst, Op, A, B (C for Select's false value)
 ///   Load:   Dst, Ref, Flag

@@ -32,9 +32,6 @@ enum class SymbolKind : uint8_t {
   HeapSite, ///< Abstract name for all objects created by one alloc site.
 };
 
-/// Returns a printable name for \p Kind.
-const char *symbolKindName(SymbolKind Kind);
-
 /// A named memory object.
 ///
 /// A symbol of \c NumElems == 1 is a scalar; larger values declare an array

@@ -118,8 +118,8 @@ void detail::planCodeMotion(PromotionContext &Ctx, ExprInfo &E,
     // Figure 2 strategy: only for scalar refs — the checking load's
     // address must be the same at every execution for the ALAT entry to
     // mean anything.
-    if (Ctx.Config.EnableAlat && Ctx.Config.UseInvala && !Indirect &&
-        !O.IsStore && !E.Ref.hasIndex()) {
+    if (Ctx.Config.EnableAlat && !Indirect && !O.IsStore &&
+        !E.Ref.hasIndex()) {
       InvalaOccs.push_back(OI);
       InvalaPhiVers.insert(O.Version);
       SavedVersions.insert(O.Version);

@@ -97,8 +97,7 @@ void detail::computeDownSafety(PromotionContext &Ctx, const ExprInfo &E,
   // insert (the Figure 3 ld.sa pattern) when the profile says the reuses
   // outweigh the inserted executions, or — without a profile — when the Φ
   // heads a loop that contains every reuse (classic invariant hoisting).
-  if (Ctx.Config.EnableInsertion &&
-      (Ctx.Config.EnableAlat || Ctx.Config.EnableSoftwareCheck)) {
+  if (Ctx.Config.EnableAlat || Ctx.Config.EnableSoftwareCheck) {
     for (size_t PhiI = 0; PhiI < W.Phis.size(); ++PhiI) {
       ExprPhi &Phi = W.Phis[PhiI];
       if (Phi.DownSafe || PhiPinned[PhiI])

@@ -40,11 +40,6 @@ struct PromotionConfig {
   /// Use the proposed st.a store (§2.5) instead of an extra ld.a after
   /// store occurrences.
   bool UseStA = false;
-  /// Use invala.e + checking loads for partially redundant loads whose
-  /// PRE insertion is rejected (Figure 2). Direct references only.
-  bool UseInvala = true;
-  /// Allow PRE insertions on incoming edges (control speculation).
-  bool EnableInsertion = true;
   /// Place ALAT checks at the reuse site (the checking load itself is
   /// the reuse, Figure 1's form) instead of §3.4's check statement after
   /// each speculatively ignored store. After-store placement lets one

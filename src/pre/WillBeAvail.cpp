@@ -65,13 +65,9 @@ void detail::computeWillBeAvail(PromotionContext &Ctx, const ExprInfo &E,
       }
     }
   }
-  // Insertion disabled entirely?
-  if (!Ctx.Config.EnableInsertion)
-    for (ExprPhi &Phi : W.Phis)
-      Phi.Unprofitable = true;
   // Edge-profile profitability: an insertion that would execute more often
   // than the loads it saves is rejected.
-  if (Ctx.Edges && Ctx.Config.EnableInsertion) {
+  if (Ctx.Edges) {
     for (ExprPhi &Phi : W.Phis) {
       if (!Phi.willBeAvail())
         continue;

@@ -5,10 +5,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// FNV-1a hashing for content addressing (module fingerprints, the IR
-/// parser's name tables, fuzz seeds). The function is fixed by
+/// FNV-1a hashing for content addressing (the IR parser's name tables,
+/// fuzz seeds, the goldens' text hashes). The function is fixed by
 /// specification — not std::hash, whose value is implementation-defined
-/// — so fingerprints are stable across builds, platforms and standard
+/// — so hashes are stable across builds, platforms and standard
 /// libraries, and may be recorded in reports and compared between runs.
 ///
 /// Collision policy: every consumer that addresses by hash must either

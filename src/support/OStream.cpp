@@ -50,26 +50,6 @@ OStream &OStream::operator<<(double D) {
   return *this;
 }
 
-OStream &OStream::writeHex(uint64_t N) {
-  char Buf[32];
-  int Len = std::snprintf(Buf, sizeof(Buf), "0x%" PRIx64, N);
-  writeImpl(Buf, static_cast<size_t>(Len));
-  return *this;
-}
-
-OStream &OStream::leftJustify(std::string_view Str, unsigned Width) {
-  *this << Str;
-  if (Str.size() < Width)
-    indent(Width - static_cast<unsigned>(Str.size()));
-  return *this;
-}
-
-OStream &OStream::rightJustify(std::string_view Str, unsigned Width) {
-  if (Str.size() < Width)
-    indent(Width - static_cast<unsigned>(Str.size()));
-  return *this << Str;
-}
-
 OStream &OStream::indent(unsigned N) {
   static const char Spaces[] = "                                ";
   while (N > 0) {

@@ -41,15 +41,6 @@ public:
   OStream &operator<<(uint64_t N);
   OStream &operator<<(double D);
 
-  /// Writes \p N in lower-case hexadecimal with a "0x" prefix.
-  OStream &writeHex(uint64_t N);
-
-  /// Writes \p Str left-justified in a field of \p Width columns.
-  OStream &leftJustify(std::string_view Str, unsigned Width);
-
-  /// Writes \p Str right-justified in a field of \p Width columns.
-  OStream &rightJustify(std::string_view Str, unsigned Width);
-
   /// Writes \p N spaces.
   OStream &indent(unsigned N);
 

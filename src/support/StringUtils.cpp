@@ -20,29 +20,6 @@ std::string srp::formatString(const char *Fmt, ...) {
   return Result;
 }
 
-std::vector<std::string_view> srp::splitString(std::string_view Str,
-                                               char Sep) {
-  std::vector<std::string_view> Pieces;
-  size_t Begin = 0;
-  while (Begin <= Str.size()) {
-    size_t End = Str.find(Sep, Begin);
-    if (End == std::string_view::npos)
-      End = Str.size();
-    if (End > Begin)
-      Pieces.push_back(Str.substr(Begin, End - Begin));
-    Begin = End + 1;
-  }
-  return Pieces;
-}
-
-std::string_view srp::trimString(std::string_view Str) {
-  size_t Begin = Str.find_first_not_of(" \t\r\n");
-  if (Begin == std::string_view::npos)
-    return {};
-  size_t End = Str.find_last_not_of(" \t\r\n");
-  return Str.substr(Begin, End - Begin + 1);
-}
-
 bool srp::startsWith(std::string_view Str, std::string_view Prefix) {
   return Str.size() >= Prefix.size() &&
          Str.substr(0, Prefix.size()) == Prefix;

@@ -18,19 +18,12 @@
 #include <string>
 #include <string_view>
 #include <type_traits>
-#include <vector>
 
 namespace srp {
 
 /// Returns the printf-style formatting of \p Fmt with the given arguments.
 std::string formatString(const char *Fmt, ...)
     __attribute__((format(printf, 1, 2)));
-
-/// Splits \p Str on \p Sep, dropping empty pieces.
-std::vector<std::string_view> splitString(std::string_view Str, char Sep);
-
-/// Returns \p Str with leading and trailing whitespace removed.
-std::string_view trimString(std::string_view Str);
 
 /// Returns true if \p Str begins with \p Prefix.
 bool startsWith(std::string_view Str, std::string_view Prefix);

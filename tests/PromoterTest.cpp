@@ -832,63 +832,6 @@ TEST(PromoterTest, SoftwareMaxChecksLimit) {
 // Configuration corners
 //===----------------------------------------------------------------------===//
 
-TEST(PromoterTest, DisabledInsertionStillPromotesStraightLine) {
-  Fig1a Fix;
-  RunResult Expected = interpret(Fix.M);
-  PromotionConfig C = PromotionConfig::alat();
-  C.EnableInsertion = false;
-  PromotionStats Stats = promoteAndCheck(Fix.M, C, Expected);
-  // Straight-line redundancy needs no insertions; it must still promote.
-  EXPECT_GE(Stats.LoadsRemovedDirect, 1u);
-  EXPECT_EQ(Stats.InsertedLoads, 0u);
-}
-
-TEST(PromoterTest, DisabledInvalaLeavesPartialRedundancyAlone) {
-  // The Fig2 economics with UseInvala off: no invala statements, no
-  // in-place checking loads, still correct.
-  Module M;
-  Symbol *A = M.createGlobal("a", TypeKind::Int);
-  Symbol *B2 = M.createGlobal("b", TypeKind::Int);
-  Symbol *P = M.createGlobal("p", TypeKind::Int);
-  IRBuilder B(M);
-  B.startFunction("main");
-  BasicBlock *Then = B.createBlock("then");
-  BasicBlock *Join = B.createBlock("join");
-  BasicBlock *Then2 = B.createBlock("then2");
-  BasicBlock *Join2 = B.createBlock("join2");
-  unsigned TA = B.emitAddrOf(A);
-  unsigned TB = B.emitAddrOf(B2);
-  B.emitStore(directRef(P), Operand::temp(TA));
-  B.emitStore(directRef(P), Operand::temp(TB));
-  unsigned TZ = B.emitLoad(directRef(B2)); // 0: both ifs untaken
-  B.setCondBr(Operand::temp(TZ), Then, Join);
-  B.setBlock(Then);
-  unsigned T1 = B.emitLoad(directRef(A));
-  B.emitPrint(Operand::temp(T1));
-  B.setBr(Join);
-  B.setBlock(Join);
-  B.emitStore(indirectRef(P, TypeKind::Int), Operand::constInt(9));
-  B.setCondBr(Operand::temp(TZ), Then2, Join2);
-  B.setBlock(Then2);
-  unsigned T2 = B.emitLoad(directRef(A));
-  B.emitPrint(Operand::temp(T2));
-  B.setBr(Join2);
-  B.setBlock(Join2);
-  B.setRet();
-
-  RunResult Expected = interpret(M);
-  PromotionConfig C = PromotionConfig::alat();
-  C.UseInvala = false;
-  C.EnableInsertion = false;
-  PromotionStats Stats = promoteAndCheck(M, C, Expected);
-  EXPECT_EQ(Stats.InvalaInserted, 0u);
-  EXPECT_EQ(Stats.InvalaModeLoads, 0u);
-  EXPECT_EQ(countStmts(M, [](const Stmt &S) {
-              return S.Kind == StmtKind::Invala;
-            }),
-            0u);
-}
-
 TEST(PromoterTest, CheckCleanupRemovesUnreachedChecks) {
   // A speculated store sits on a path that never reaches the promoted
   // reuse; its check must be cleaned up (no use can observe it).

@@ -103,9 +103,7 @@ TEST_P(RandomDifferential, AllStrategiesMatchOracle) {
     // Backend level.
     auto MM = codegen::lowerModule(M);
     codegen::allocateRegisters(*MM);
-    arch::SimConfig SC;
-    SC.UseStA = true;
-    arch::SimResult Sim = arch::simulate(*MM, SC);
+    arch::SimResult Sim = arch::simulate(*MM, arch::SimConfig());
     ASSERT_TRUE(Sim.Ok) << Sim.Error;
     ASSERT_EQ(Sim.Output, Oracle.Output) << moduleToString(M);
   }

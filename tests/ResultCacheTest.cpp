@@ -20,8 +20,9 @@
 #include "core/ResultCache.h"
 #include "core/Serve.h"
 #include "fuzz/Fuzzer.h"
-#include "ir/Fingerprint.h"
 #include "ir/Parser.h"
+#include "ir/Printer.h"
+#include "support/Hash.h"
 #include "support/StringUtils.h"
 #include "workloads/Workloads.h"
 
@@ -149,11 +150,11 @@ TEST(ResultCacheTest, ReplaceUpdatesInPlace) {
 }
 
 // Collision freedom by construction, checked differentially: canonical
-// texts of every fuzz repro and 500 generated programs go into one
-// cache, and each key must come back with its own body. Also pins
-// canonicalization idempotence — parsing the canonical text and
-// canonicalizing again is a fixpoint — since the canonical text *is*
-// the cache identity.
+// texts (ir::moduleToString) of every fuzz repro and 500 generated
+// programs go into one cache, and each key must come back with its own
+// body. Also pins canonicalization idempotence — parsing the canonical
+// text and printing it again is a fixpoint — since the canonical text
+// *is* the cache identity.
 TEST(ResultCacheTest, DistinctProgramsNeverAlias) {
   std::vector<std::string> Programs;
   std::string Dir = std::string(SRP_SOURCE_DIR) + "/fuzz-repros";
@@ -185,19 +186,19 @@ TEST(ResultCacheTest, DistinctProgramsNeverAlias) {
 
   ResultCache Cache;
   std::map<std::string, std::string> Truth;
-  std::set<uint64_t> Fingerprints;
+  std::set<uint64_t> Hashes;
   for (size_t I = 0; I < Programs.size(); ++I) {
     ir::Module M;
     std::string Error;
     ASSERT_TRUE(ir::parseModule(Programs[I], M, Error)) << Error;
-    std::string Canonical = ir::canonicalModuleText(M);
+    std::string Canonical = ir::moduleToString(M);
 
     // Idempotence: canonical text is a fixpoint of parse+print.
     ir::Module M2;
     ASSERT_TRUE(ir::parseModule(Canonical, M2, Error)) << Error;
-    EXPECT_EQ(ir::canonicalModuleText(M2), Canonical);
+    EXPECT_EQ(ir::moduleToString(M2), Canonical);
 
-    Fingerprints.insert(ir::moduleFingerprint(M));
+    Hashes.insert(fnv1a64(Canonical));
     std::string Body = formatString("body-%zu", I);
     auto [It, Inserted] = Truth.emplace(Canonical, Body);
     if (Inserted)
@@ -212,9 +213,9 @@ TEST(ResultCacheTest, DistinctProgramsNeverAlias) {
   }
   // Not a correctness requirement — collisions would be benign — but
   // FNV-1a over these canonical texts should in practice be injective;
-  // a large dip would mean the fingerprint is broken (e.g. hashing only
+  // a large dip would mean the hash is broken (e.g. hashing only
   // a prefix).
-  EXPECT_GT(Fingerprints.size(), Truth.size() - 3);
+  EXPECT_GT(Hashes.size(), Truth.size() - 3);
 }
 
 } // namespace

@@ -25,28 +25,11 @@ TEST(OStreamTest, WritesScalars) {
   EXPECT_EQ(Buffer, "x=42 -7 3.5 true");
 }
 
-TEST(OStreamTest, WritesUnsignedAndHex) {
+TEST(OStreamTest, WritesUnsignedMaximum) {
   std::string Buffer;
   StringOStream OS(Buffer);
-  OS << uint64_t(18446744073709551615ULL) << ' ';
-  OS.writeHex(0xdeadbeef);
-  EXPECT_EQ(Buffer, "18446744073709551615 0xdeadbeef");
-}
-
-TEST(OStreamTest, Justification) {
-  std::string Buffer;
-  StringOStream OS(Buffer);
-  OS.leftJustify("ab", 5);
-  OS << '|';
-  OS.rightJustify("cd", 4);
-  EXPECT_EQ(Buffer, "ab   |  cd");
-}
-
-TEST(OStreamTest, JustificationDoesNotTruncate) {
-  std::string Buffer;
-  StringOStream OS(Buffer);
-  OS.leftJustify("abcdef", 3);
-  EXPECT_EQ(Buffer, "abcdef");
+  OS << uint64_t(18446744073709551615ULL);
+  EXPECT_EQ(Buffer, "18446744073709551615");
 }
 
 TEST(OStreamTest, IndentLargeWidth) {
@@ -60,20 +43,6 @@ TEST(StringUtilsTest, FormatString) {
   EXPECT_EQ(formatString("%d-%s", 5, "x"), "5-x");
   EXPECT_EQ(formatString("%0.2f", 1.5), "1.50");
   EXPECT_EQ(formatString("empty"), "empty");
-}
-
-TEST(StringUtilsTest, SplitDropsEmptyPieces) {
-  auto Pieces = splitString("a,,b,c,", ',');
-  ASSERT_EQ(Pieces.size(), 3u);
-  EXPECT_EQ(Pieces[0], "a");
-  EXPECT_EQ(Pieces[1], "b");
-  EXPECT_EQ(Pieces[2], "c");
-}
-
-TEST(StringUtilsTest, Trim) {
-  EXPECT_EQ(trimString("  x y \t\n"), "x y");
-  EXPECT_EQ(trimString("   "), "");
-  EXPECT_EQ(trimString("abc"), "abc");
 }
 
 TEST(StringUtilsTest, StartsWith) {

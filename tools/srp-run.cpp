@@ -120,10 +120,9 @@ bool parseArgs(int Argc, char **Argv, Options &Opts) {
       Opts.Promotion = pre::PromotionConfig::alat();
     else if (Arg == "--cascade")
       Opts.Promotion.EnableCascade = true;
-    else if (Arg == "--sta") {
+    else if (Arg == "--sta")
       Opts.Promotion.UseStA = true;
-      Opts.Sim.UseStA = true;
-    } else if (Arg == "--no-profile")
+    else if (Arg == "--no-profile")
       Opts.UseProfile = false;
     else if (Arg == "--print-ir")
       Opts.PrintIR = true;
@@ -183,41 +182,18 @@ int listPasses() {
   return 0;
 }
 
-/// Deterministic diagnostic order: line first (the file:line users read),
-/// then check tag, then context. A stable sort keeps the verifier's
-/// function/block order for ties; exact duplicates (every field equal)
-/// are dropped afterwards.
-void sortAndDedupe(std::vector<analysis::SpecDiag> &Diags) {
-  auto Key = [](const analysis::SpecDiag &D) {
-    return std::tie(D.Line, D.Kind, D.Severity, D.FunctionName, D.BlockName,
-                    D.StmtText, D.Message);
-  };
+/// Deterministic diagnostic order: \p Key ties line first (the file:line
+/// users read), then check tag, then context. A stable sort keeps the
+/// checker's function/block order for ties; exact duplicates (every
+/// field equal) are dropped afterwards.
+template <typename Diag, typename KeyFn>
+void sortAndDedupe(std::vector<Diag> &Diags, KeyFn Key) {
   std::stable_sort(Diags.begin(), Diags.end(),
-                   [&Key](const analysis::SpecDiag &A,
-                          const analysis::SpecDiag &B) {
+                   [&Key](const Diag &A, const Diag &B) {
                      return Key(A) < Key(B);
                    });
   Diags.erase(std::unique(Diags.begin(), Diags.end(),
-                          [&Key](const analysis::SpecDiag &A,
-                                 const analysis::SpecDiag &B) {
-                            return Key(A) == Key(B);
-                          }),
-              Diags.end());
-}
-
-void sortAndDedupe(std::vector<analysis::TaintDiag> &Diags) {
-  auto Key = [](const analysis::TaintDiag &D) {
-    return std::tie(D.Line, D.Kind, D.FunctionName, D.BlockName, D.StmtText,
-                    D.SpecMask, D.Message);
-  };
-  std::stable_sort(Diags.begin(), Diags.end(),
-                   [&Key](const analysis::TaintDiag &A,
-                          const analysis::TaintDiag &B) {
-                     return Key(A) < Key(B);
-                   });
-  Diags.erase(std::unique(Diags.begin(), Diags.end(),
-                          [&Key](const analysis::TaintDiag &A,
-                                 const analysis::TaintDiag &B) {
+                          [&Key](const Diag &A, const Diag &B) {
                             return Key(A) == Key(B);
                           }),
               Diags.end());
@@ -266,7 +242,10 @@ int runLint(ir::Module &M, const Options &Opts) {
   }
 
   std::vector<analysis::SpecDiag> Diags = std::move(S.Result.SpecDiags);
-  sortAndDedupe(Diags);
+  sortAndDedupe(Diags, [](const analysis::SpecDiag &D) {
+    return std::tie(D.Line, D.Kind, D.Severity, D.FunctionName, D.BlockName,
+                    D.StmtText, D.Message);
+  });
 
   unsigned NumErrors = 0, NumWarnings = 0;
   for (const analysis::SpecDiag &D : Diags) {
@@ -285,7 +264,10 @@ int runLint(ir::Module &M, const Options &Opts) {
     TFC.AA = S.AA.get();
     analysis::TaintFlow TF(M, TFC);
     std::vector<analysis::TaintDiag> TDiags = TF.diags();
-    sortAndDedupe(TDiags);
+    sortAndDedupe(TDiags, [](const analysis::TaintDiag &D) {
+      return std::tie(D.Line, D.Kind, D.FunctionName, D.BlockName,
+                      D.StmtText, D.SpecMask, D.Message);
+    });
     NumErrors += static_cast<unsigned>(TDiags.size());
     for (const analysis::TaintDiag &D : TDiags)
       errs() << analysis::formatTaintDiag(D, Opts.InputPath) << '\n';
