@@ -475,9 +475,8 @@ SimResult srp::arch::simulate(const DecodedModule &DM,
     int64_t Count = asI(Regs[I.Rs1]);
     if (Count < 1)
       Count = 1;
-    const uint64_t Bytes = (static_cast<uint64_t>(Count) * 8 + 63) & ~63ULL;
     setRegL(I.Rd, HeapTop, Cycle, false);
-    HeapTop += Bytes;
+    HeapTop += interp::layout::objectSpan(static_cast<uint64_t>(Count) * 8);
     ++PC;
     SRP_NEXT();
   }
@@ -487,9 +486,8 @@ SimResult srp::arch::simulate(const DecodedModule &DM,
     int64_t Count = I.Imm;
     if (Count < 1)
       Count = 1;
-    const uint64_t Bytes = (static_cast<uint64_t>(Count) * 8 + 63) & ~63ULL;
     setRegL(I.Rd, HeapTop, Cycle, false);
-    HeapTop += Bytes;
+    HeapTop += interp::layout::objectSpan(static_cast<uint64_t>(Count) * 8);
     ++PC;
     SRP_NEXT();
   }

@@ -642,11 +642,10 @@ void FunctionLowering::run() {
 std::unique_ptr<MModule> srp::codegen::lowerModule(const ir::Module &M) {
   auto MM = std::make_unique<MModule>();
 
-  // Global layout identical to the interpreter's.
   uint64_t Next = interp::layout::GlobalBase;
   for (const Symbol *Global : M.globals()) {
     MM->GlobalAddr[Global] = Next;
-    Next += (Global->sizeInBytes() + 63) & ~63ULL;
+    Next += interp::layout::objectSpan(Global->sizeInBytes());
   }
 
   // Create all functions and lay out frames first (callers write argument

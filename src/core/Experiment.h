@@ -11,8 +11,8 @@
 /// independent pipeline on a std::thread pool.
 ///
 /// Determinism: a pipeline run is a pure function of (workload, config) —
-/// each worker owns its PipelineState (modules, profiles, analysis
-/// cache; see core/Pass.h), and results are deposited by input index.
+/// each worker owns its PipelineState (modules, profiles, analyses; see
+/// core/Pass.h), and results are deposited by input index.
 /// The returned results are therefore byte-identical for any thread
 /// count, including 1 (asserted by tests/ExperimentTest.cpp). Pass wall
 /// times go to the stats registry, not into the results.

@@ -13,10 +13,8 @@
 /// honouring PipelineConfig::DisabledPasses.
 ///
 /// PipelineState carries everything the passes hand to each other:
-/// the modules, the profiles, the alias analysis, the machine module,
-/// and — via ssa::AnalysisCache — the dominator trees and loop nests the
-/// promoter draws on. The cache, like the whole
-/// state, is per-pipeline: the parallel experiment driver
+/// the modules, the profiles, the alias analysis and the machine module.
+/// The state is per-pipeline: the parallel experiment driver
 /// (core::runExperiments) runs one PipelineState per worker with no
 /// shared mutable data, which is what makes its results independent of
 /// the thread count.
@@ -43,7 +41,7 @@
 #include "codegen/MIR.h"
 #include "interp/Profile.h"
 #include "ir/CFG.h"
-#include "ssa/AnalysisCache.h"
+#include "pre/Promoter.h"
 
 #include <functional>
 #include <memory>
@@ -52,7 +50,7 @@
 namespace srp::core {
 
 /// The state a pipeline run threads through its passes. Self-contained:
-/// holds its own modules, profiles, and analysis cache, so concurrent
+/// holds its own modules, profiles and analyses, so concurrent
 /// pipelines never share mutable data.
 struct PipelineState {
   // Inputs — exactly one of W (workload mode) / External (module mode).
@@ -74,7 +72,6 @@ struct PipelineState {
   interp::EdgeProfile EdgeProf;
   bool HasProfile = false; ///< profile pass ran (it may be disabled)
   std::unique_ptr<alias::AliasAnalysis> AA;
-  ssa::AnalysisCache Analyses;
   std::unique_ptr<codegen::MModule> MM;
   /// Decode-once micro-op stream for MM (Decoded.h). Built by the
   /// simulate pass and kept on the state so later consumers of the same
@@ -91,8 +88,12 @@ struct PipelineState {
   /// The module the compiling passes operate on.
   ir::Module &module() { return External ? *External : RefModule; }
 
-  /// The analysis cache passes should consult.
-  ssa::AnalysisCache &analyses() { return Analyses; }
+  /// Ignored by promoteModule; kept only for
+  /// perfbench/PipelineSupport.cpp:152 (see ssa::AnalysisCache).
+  ssa::AnalysisCache &analyses() {
+    static ssa::AnalysisCache None;
+    return None;
+  }
 };
 
 /// One named step of the pipeline.

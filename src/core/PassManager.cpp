@@ -47,7 +47,6 @@ bool PassManager::run(PipelineState &S, const PassCallback &AfterPass) {
     if (AfterPass)
       AfterPass(*P, S);
   }
-  S.analyses().publishStats();
   S.Result.Ok = true;
   return true;
 }

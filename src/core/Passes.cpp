@@ -134,8 +134,7 @@ public:
 };
 
 /// Constructs the alias analysis and runs SSAPRE-based promotion under
-/// the configured strategy, drawing dominators and loops from the
-/// pipeline's analysis cache.
+/// the configured strategy.
 class PromotePass final : public Pass {
 public:
   std::string_view name() const override { return "promote"; }
@@ -152,8 +151,8 @@ public:
         (S.HasProfile && S.Config.UseAliasProfile) ? &S.AliasProf : nullptr;
     const interp::EdgeProfile *EP =
         (S.HasProfile && S.Config.UseEdgeProfile) ? &S.EdgeProf : nullptr;
-    S.Result.Promotion = pre::promoteModule(M, *S.AA, AP, EP,
-                                            S.Config.Promotion, &S.analyses());
+    S.Result.Promotion =
+        pre::promoteModule(M, *S.AA, AP, EP, S.Config.Promotion);
     std::vector<std::string> Errors = ir::verifyModule(M);
     if (!Errors.empty()) {
       S.Result.Error = "post-promotion verification failed: " + Errors[0];

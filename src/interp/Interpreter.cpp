@@ -339,7 +339,7 @@ void Engine::decode(bool Observed) {
     GlobalAddr[G->Id] = Next;
     if (KeepObjects)
       GlobalObjs.push_back(Object{Next, Next + G->sizeInBytes(), G->Id});
-    Next += (G->sizeInBytes() + 63) & ~63ULL;
+    Next += layout::objectSpan(G->sizeInBytes());
   }
   size_t NumOps = 0;
   for (unsigned FI = 0; FI < M.numFunctions(); ++FI)
@@ -539,7 +539,7 @@ void Engine::uncount(const Op *From) {
 uint64_t Engine::allocHeap(const Symbol &Sym, uint64_t Bytes) {
   Bytes = std::max<uint64_t>((Bytes + 7) & ~7ULL, 8);
   uint64_t Start = HeapTop;
-  HeapTop += (Bytes + 63) & ~63ULL;
+  HeapTop += layout::objectSpan(Bytes);
   if (KeepObjects)
     HeapObjs.push_back(Object{Start, Start + Bytes, Sym.Id});
   if (TT)

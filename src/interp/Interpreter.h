@@ -35,6 +35,11 @@ namespace layout {
 inline constexpr uint64_t GlobalBase = 0x0000000000010000ULL;
 inline constexpr uint64_t StackBase = 0x0000000040000000ULL; ///< grows down
 inline constexpr uint64_t HeapBase = 0x0000000080000000ULL;  ///< grows up
+/// Address-space bytes an object of \p Bytes takes: every global and
+/// heap object starts on a 64-byte boundary.
+constexpr uint64_t objectSpan(uint64_t Bytes) {
+  return (Bytes + 63) & ~63ULL;
+}
 } // namespace layout
 
 /// Outcome of one interpreted run.

@@ -3,9 +3,8 @@
 // The per-function driver of the staged SSAPRE pass. The stages
 // themselves live in their own translation units (see PromotionContext.h
 // for the map); this file only sequences them, accumulates per-stage wall
-// time, and draws dominators and loops from an AnalysisCache (the
-// caller's, else a local one) so an unchanged function reuses them
-// across its promotion runs.
+// time, and keeps the function's dominators and loops across its
+// promotion runs until a run changes the function.
 //
 //===----------------------------------------------------------------------===//
 
@@ -15,7 +14,6 @@
 #include "pre/PromotionContext.h"
 
 #include "ir/Verifier.h"
-#include "ssa/AnalysisCache.h"
 #include "support/Stats.h"
 #include "support/Timer.h"
 
@@ -28,9 +26,7 @@ using namespace srp::pre;
 using namespace srp::pre::detail;
 
 PromotionStats detail::runPromotion(PromotionContext &Ctx,
-                                    StageTimings *Times) {
-  StageTimings Local;
-  StageTimings &T = Times ? *Times : Local;
+                                    StageTimings &T) {
   {
     ScopedTimer ST(T.PhiInsertion);
     Ctx.CanonData = Ctx.H.canonicalMap(
@@ -98,15 +94,12 @@ PromotionStats srp::pre::promoteFunction(ir::Function &F,
                                          const alias::AliasAnalysis &AA,
                                          const interp::AliasProfile *Profile,
                                          const interp::EdgeProfile *Edges,
-                                         const PromotionConfig &Config,
-                                         ssa::AnalysisCache *Cache) {
-  // Earlier mutating passes are contractually required to have
-  // invalidated F already (AnalysisCache.h), so a cached dominator tree
-  // here is still valid; recomputing the edge lists is idempotent.
+                                         const PromotionConfig &Config) {
   F.recomputeCFG();
   StageTimings Times;
-  ssa::AnalysisCache Local;
-  ssa::AnalysisCache &AC = Cache ? *Cache : Local;
+  // F's dominators and loops, dropped after a run that changed F.
+  std::optional<DominatorTree> DT;
+  std::optional<LoopInfo> LI;
 
   auto PlanEmpty = [](const MutationPlan &P) {
     return P.EdgeInserts.empty() && P.DefLoads.empty() &&
@@ -118,23 +111,26 @@ PromotionStats srp::pre::promoteFunction(ir::Function &F,
 
   // One promotion run with the given config.
   auto RunOnce = [&](const PromotionConfig &Cfg) {
-    const DominatorTree &DT = AC.dominators(F);
-    const LoopInfo &LI = AC.loops(F);
+    if (!DT) {
+      DT.emplace(F);
+      LI.emplace(*DT);
+    }
     std::optional<PromotionContext> Ctx;
     {
       ScopedTimer ST(Times.HSSA);
-      Ctx.emplace(F, AA, Profile, Edges, Cfg, DT, LI);
+      Ctx.emplace(F, AA, Profile, Edges, Cfg, *DT, *LI);
     }
-    PromotionStats S = runPromotion(*Ctx, &Times);
+    PromotionStats S = runPromotion(*Ctx, Times);
     // The run mutated F iff the plan applied anything or cleanup erased
-    // a check; copy propagation below may rewrite further. Invalidate
-    // only then — an empty run leaves the cached dominators and loops
-    // live for the second (conservative) run and the verifier passes.
+    // a check; copy propagation below may rewrite further. Drop the
+    // analyses only then: an empty run leaves them live for the second
+    // (conservative) run.
     bool Mutated = !PlanEmpty(Ctx->Plan) || S.ChecksRemovedByCleanup != 0;
     CopyPropStats CP = propagateCopies(F);
     Mutated |= CP.UsesRewritten != 0 || CP.AssignsRemoved != 0;
     if (Mutated) {
-      AC.invalidate(F);
+      LI.reset();
+      DT.reset();
       F.recomputeCFG();
     }
     return S;
@@ -163,10 +159,9 @@ PromotionStats srp::pre::promoteModule(ir::Module &M,
                                        const interp::AliasProfile *Profile,
                                        const interp::EdgeProfile *Edges,
                                        const PromotionConfig &Config,
-                                       ssa::AnalysisCache *Cache) {
+                                       ssa::AnalysisCache *) {
   PromotionStats Total;
   for (unsigned I = 0; I < M.numFunctions(); ++I)
-    Total += promoteFunction(*M.function(I), AA, Profile, Edges, Config,
-                             Cache);
+    Total += promoteFunction(*M.function(I), AA, Profile, Edges, Config);
   return Total;
 }

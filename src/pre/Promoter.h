@@ -40,7 +40,11 @@
 #include "ssa/HSSA.h"
 
 namespace srp::ssa {
-class AnalysisCache;
+/// Empty and ignored: perfbench/PipelineSupport.cpp:152 still passes
+/// `&St.analyses()` to promoteModule. Goes, with
+/// core::PipelineState::analyses() and promoteModule's last parameter,
+/// when that argument does.
+struct AnalysisCache {};
 } // namespace srp::ssa
 
 namespace srp::pre {
@@ -48,23 +52,21 @@ namespace srp::pre {
 /// Runs promotion on one function. \p Profile supplies the alias profile
 /// (may be null: no data speculation) and \p Edges the block/edge counts
 /// for profitability (may be null: structural heuristics only).
-/// \p Cache, when given, supplies dominators and loop info and is
-/// invalidated for \p F after mutation; without one a local cache does
-/// the same for this call.
 PromotionStats promoteFunction(ir::Function &F,
                                const alias::AliasAnalysis &AA,
                                const interp::AliasProfile *Profile,
                                const interp::EdgeProfile *Edges,
-                               const PromotionConfig &Config,
-                               ssa::AnalysisCache *Cache = nullptr);
+                               const PromotionConfig &Config);
 
 /// Runs promotion on every function of \p M and returns aggregate stats.
-/// Recomputes each function's CFG afterwards.
+/// Recomputes each function's CFG afterwards. The last parameter is
+/// ignored; perfbench/PipelineSupport.cpp:152 still passes one (see
+/// ssa::AnalysisCache above).
 PromotionStats promoteModule(ir::Module &M, const alias::AliasAnalysis &AA,
                              const interp::AliasProfile *Profile,
                              const interp::EdgeProfile *Edges,
                              const PromotionConfig &Config,
-                             ssa::AnalysisCache *Cache = nullptr);
+                             ssa::AnalysisCache * = nullptr);
 
 } // namespace srp::pre
 

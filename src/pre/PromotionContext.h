@@ -243,9 +243,9 @@ struct StageTimings {
 };
 
 /// Analysis and planning state for one function. Holds the inputs (alias
-/// analysis, profiles, config), the cached analyses (dominators, loops —
-/// owned by the caller, typically the pass manager's AnalysisCache), the
-/// HSSA form, and the accumulated mutation plan.
+/// analysis, profiles, config), the dominators and loops (owned by
+/// promoteFunction, which keeps them across runs that leave the function
+/// unchanged), the HSSA form, and the accumulated mutation plan.
 class PromotionContext {
 public:
   PromotionContext(ir::Function &F, const alias::AliasAnalysis &AA,
@@ -359,9 +359,8 @@ void applyPlan(PromotionContext &Ctx);
 void cleanupChecks(PromotionContext &Ctx);
 
 /// Promoter.cpp: runs all stages for one function and returns the stats.
-/// \p Times, when given, receives the per-stage wall time.
-PromotionStats runPromotion(PromotionContext &Ctx,
-                            StageTimings *Times = nullptr);
+/// Adds each stage's wall time to \p Times.
+PromotionStats runPromotion(PromotionContext &Ctx, StageTimings &Times);
 
 } // namespace srp::pre::detail
 

@@ -20,18 +20,53 @@ static void poison(const void *, size_t) {}
 static void unpoison(const void *, size_t) {}
 #endif
 
-std::vector<char *> &Arena::parkedSlabs() {
-  struct Parked {
+namespace {
+
+constexpr size_t MaxPooledBlocks = 64; ///< 4 MiB per thread.
+
+void freeBlock(char *Block) {
+  unpoison(Block, PoolBlockBytes);
+  ::operator delete(Block);
+}
+
+std::vector<char *> &pool() {
+  struct Pool {
     std::vector<char *> Free;
-    ~Parked() {
-      for (char *P : Free) {
-        unpoison(P, FirstSlabBytes);
-        ::operator delete(P);
-      }
+    ~Pool() {
+      for (char *B : Free)
+        freeBlock(B);
     }
   };
-  static thread_local Parked P;
+  static thread_local Pool P;
   return P.Free;
+}
+
+} // namespace
+
+char *srp::takeBlock(bool Zeroed) {
+  std::vector<char *> &Free = pool();
+  char *Block;
+  if (Free.empty()) {
+    Block = static_cast<char *>(::operator new(PoolBlockBytes));
+  } else {
+    Block = Free.back();
+    Free.pop_back();
+  }
+  if (Zeroed) {
+    unpoison(Block, PoolBlockBytes);
+    std::memset(Block, 0, PoolBlockBytes);
+  }
+  return Block;
+}
+
+void srp::giveBlock(char *Block) {
+  std::vector<char *> &Free = pool();
+  if (Free.size() >= MaxPooledBlocks) {
+    freeBlock(Block);
+    return;
+  }
+  poison(Block, PoolBlockBytes);
+  Free.push_back(Block);
 }
 
 void *Arena::allocate(size_t Size, size_t Align) {
@@ -70,13 +105,8 @@ void Arena::newSlab(size_t Min) {
                     : std::min(Slabs.back().Size * 2, MaxSlabBytes);
   Want = std::max(Want, Min);
   Slab S;
-  std::vector<char *> &Parked = parkedSlabs();
-  if (Want == FirstSlabBytes && !Parked.empty()) {
-    S.Base = Parked.back();
-    Parked.pop_back();
-  } else {
-    S.Base = static_cast<char *>(::operator new(Want));
-  }
+  S.Base = Want == FirstSlabBytes ? takeBlock(/*Zeroed=*/false)
+                                  : static_cast<char *>(::operator new(Want));
   S.Size = Want;
   poison(S.Base, S.Size);
   Slabs.push_back(S);
@@ -103,11 +133,9 @@ Arena::~Arena() {
   for (auto It = Dtors.rbegin(), E = Dtors.rend(); It != E; ++It)
     It->Fn(It->Obj);
   publishStats(/*CountReset=*/false);
-  std::vector<char *> &Parked = parkedSlabs();
   for (Slab &S : Slabs) {
-    if (S.Size == FirstSlabBytes && Parked.size() < MaxParkedSlabs) {
-      poison(S.Base, S.Size);
-      Parked.push_back(S.Base);
+    if (S.Size == FirstSlabBytes) {
+      giveBlock(S.Base);
       continue;
     }
     unpoison(S.Base, S.Size);

@@ -11,11 +11,18 @@
 /// (no per-node malloc/free), addresses are stable for the arena's whole
 /// life (IR pointers are map keys everywhere), and teardown is one sweep:
 /// registered destructors run in reverse allocation order, then the slabs
-/// are reused by reset() or released by the destructor (first slabs are
-/// parked for the thread's next arena, the rest freed).
+/// are reused by reset() or released by the destructor (first slabs go
+/// back to the thread's block pool below, the rest are freed).
 ///
-/// Under AddressSanitizer every slab's unused tail is poisoned and reset()
-/// re-poisons recycled memory, so use-after-reset and past-the-bump reads
+/// The block pool holds the 64 KiB blocks that arena first slabs and
+/// PagedMemory pages are made of, at most 64 (4 MiB) per thread. A run
+/// builds and drops several modules and memories; freeing their blocks
+/// at the heap top let glibc trim the heap after some runs and fault it
+/// back in on the next (DESIGN.md §7). The pool is freed at thread exit.
+///
+/// Under AddressSanitizer every slab's unused tail is poisoned, reset()
+/// re-poisons recycled memory and parked blocks stay poisoned, so
+/// use-after-reset, use-after-free and past-the-bump reads
 /// trip ASan just like a heap use-after-free would — arenas must not
 /// regress sanitizer coverage (tested by ArenaTest.AsanPoisoning).
 ///
@@ -49,6 +56,18 @@
 #endif
 
 namespace srp {
+
+/// Size of a pooled block: an arena's first slab, a PagedMemory page.
+inline constexpr size_t PoolBlockBytes = 64 << 10;
+
+/// A block from the thread's pool, else a fresh one. \p Zeroed blocks
+/// are addressable and all zero; the others are uninitialized and may be
+/// poisoned.
+char *takeBlock(bool Zeroed);
+
+/// Parks \p Block, poisoned, in the thread's pool, or frees it when the
+/// pool is full.
+void giveBlock(char *Block);
 
 /// Slab-based bump allocator (see file comment).
 class Arena {
@@ -115,14 +134,8 @@ private:
   void newSlab(size_t Min);
   void publishStats(bool CountReset);
 
-  /// First slabs parked for the thread's next arenas, so a run that
-  /// builds and drops modules leaves no slabs at the heap top for glibc
-  /// to trim and fault back in (DESIGN.md §7). They stay poisoned.
-  static std::vector<char *> &parkedSlabs();
-
-  static constexpr size_t FirstSlabBytes = 64 << 10;
+  static constexpr size_t FirstSlabBytes = PoolBlockBytes;
   static constexpr size_t MaxSlabBytes = 1 << 20;
-  static constexpr size_t MaxParkedSlabs = 8; ///< 512 KiB per thread.
 
   std::vector<Slab> Slabs;
   size_t CurSlab = 0; ///< Valid only when !Slabs.empty().

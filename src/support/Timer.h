@@ -5,9 +5,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Scoped wall-clock timing for passes and promotion stages. A Timer is a
-/// plain stopwatch over std::chrono::steady_clock; ScopedTimer accumulates
-/// the elapsed time of its scope into a caller-owned nanosecond counter,
+/// Scoped wall-clock timing for passes and promotion stages. ScopedTimer
+/// accumulates the elapsed time of its scope, on
+/// std::chrono::steady_clock, into a caller-owned nanosecond counter,
 /// which is how the pass manager and the promotion stages attribute time
 /// without any global state (the process-wide aggregation happens in
 /// StatsRegistry, see Stats.h). Counters stay in nanoseconds until they
@@ -24,38 +24,24 @@
 
 namespace srp {
 
-/// A stopwatch over the monotonic clock.
-class Timer {
+/// Adds the wall time of its scope to \p Counter (nanoseconds) on
+/// destruction.
+class ScopedTimer {
 public:
-  Timer() : Start(std::chrono::steady_clock::now()) {}
-
-  /// Restarts the stopwatch.
-  void reset() { Start = std::chrono::steady_clock::now(); }
-
-  /// Nanoseconds elapsed since construction or the last reset().
-  uint64_t elapsedNanos() const {
-    return static_cast<uint64_t>(
+  explicit ScopedTimer(uint64_t &Counter)
+      : Counter(Counter), Start(std::chrono::steady_clock::now()) {}
+  ScopedTimer(const ScopedTimer &) = delete;
+  ScopedTimer &operator=(const ScopedTimer &) = delete;
+  ~ScopedTimer() {
+    Counter += static_cast<uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::steady_clock::now() - Start)
             .count());
   }
 
 private:
-  std::chrono::steady_clock::time_point Start;
-};
-
-/// Adds the wall time of its scope to \p Counter (nanoseconds) on
-/// destruction.
-class ScopedTimer {
-public:
-  explicit ScopedTimer(uint64_t &Counter) : Counter(Counter) {}
-  ScopedTimer(const ScopedTimer &) = delete;
-  ScopedTimer &operator=(const ScopedTimer &) = delete;
-  ~ScopedTimer() { Counter += T.elapsedNanos(); }
-
-private:
   uint64_t &Counter;
-  Timer T;
+  std::chrono::steady_clock::time_point Start;
 };
 
 } // namespace srp

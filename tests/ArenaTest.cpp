@@ -1,6 +1,7 @@
-//===- ArenaTest.cpp - Tests for the bump allocator -------------*- C++ -*-===//
+//===- ArenaTest.cpp - Arena and block pool tests ---------------*- C++ -*-===//
 
 #include "support/Arena.h"
+#include "support/PagedMemory.h"
 
 #include <gtest/gtest.h>
 
@@ -112,9 +113,35 @@ TEST(ArenaTest, AsanPoisoning) {
   }
   EXPECT_TRUE(__asan_address_is_poisoned(Q))
       << "a parked first slab must stay poisoned";
+  {
+    PagedMemory M;
+    M.store(0, 1);
+    EXPECT_FALSE(__asan_address_is_poisoned(Q))
+        << "the page is the parked slab, taken back from the pool";
+  }
+  EXPECT_TRUE(__asan_address_is_poisoned(Q))
+      << "a page a destroyed PagedMemory gave back must stay poisoned";
 #else
   GTEST_SKIP() << "requires an AddressSanitizer build";
 #endif
+}
+
+TEST(PagedMemoryTest, UnwrittenWordsReadZero) {
+  // Dirty an arena's first slab; the pool hands it to the next page.
+  uint64_t *Slab;
+  {
+    Arena A;
+    Slab = static_cast<uint64_t *>(A.allocate(4096, 8));
+    for (unsigned W = 0; W < 512; ++W)
+      Slab[W] = ~0ULL;
+  }
+  PagedMemory M;
+  EXPECT_EQ(M.load(5), 0u) << "an absent page reads 0";
+  M.store(5, 7);
+  EXPECT_EQ(Slab[5], 7u) << "the page must reuse the arena's block";
+  for (uint64_t W = 0; W < 8192; ++W)
+    ASSERT_EQ(M.load(W), W == 5 ? 7u : 0u) << "word " << W;
+  EXPECT_EQ(M.load(uint64_t(1) << 40), 0u);
 }
 
 } // namespace

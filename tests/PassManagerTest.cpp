@@ -1,16 +1,15 @@
-//===- PassManagerTest.cpp - Pass manager and analysis cache tests -------------===//
+//===- PassManagerTest.cpp - Pass manager tests ---------------------------===//
 //
 // The pass-composition contract of runPipeline: the standard pass list,
 // run order and per-pass timing (pass.<name>.us in the stats registry),
-// --disable-pass semantics (graceful diagnostics when a dependency is
-// missing), and the analysis cache's hit/invalidation behaviour.
+// and --disable-pass semantics (graceful diagnostics when a dependency is
+// missing).
 //
 //===----------------------------------------------------------------------===//
 
 #include "core/Pass.h"
 
 #include "ir/IRBuilder.h"
-#include "ssa/AnalysisCache.h"
 #include "support/Stats.h"
 #include "support/StringUtils.h"
 #include "workloads/LoopHelper.h"
@@ -147,34 +146,6 @@ TEST(PassManagerTest, DisablingSimulateLeavesNoOutput) {
   PipelineResult R = runPipeline(W, C);
   ASSERT_TRUE(R.Ok) << R.Error;
   EXPECT_TRUE(R.Output.empty());
-}
-
-TEST(PassManagerTest, AnalysisCacheHitsAndInvalidation) {
-  Module M;
-  Symbol *A = M.createGlobal("a", TypeKind::Int);
-  IRBuilder B(M);
-  B.startFunction("main");
-  unsigned T = B.emitLoad(directRef(A));
-  B.emitPrint(Operand::temp(T));
-  B.setRet();
-  Function &F = *M.function(0);
-  F.recomputeCFG();
-
-  ssa::AnalysisCache Cache;
-  const ssa::DominatorTree &DT1 = Cache.dominators(F);
-  const ssa::DominatorTree &DT2 = Cache.dominators(F);
-  EXPECT_EQ(&DT1, &DT2) << "second query must hit the cache";
-  Cache.loops(F);
-  ssa::AnalysisCache::CacheStats S = Cache.stats();
-  EXPECT_EQ(S.Misses, 2u) << "one dominator build, one loop build";
-  EXPECT_GE(S.Hits, 1u);
-
-  Cache.invalidate(F);
-  const ssa::DominatorTree &DT3 = Cache.dominators(F);
-  (void)DT3;
-  S = Cache.stats();
-  EXPECT_EQ(S.Invalidations, 1u);
-  EXPECT_EQ(S.Misses, 3u) << "invalidation forces a rebuild";
 }
 
 } // namespace

@@ -201,10 +201,10 @@ TEST(ServeProtocol, BatchKeepsOrderAndCaches) {
 
 // Per-request stats epochs: a request's "stats" echo describes that
 // request alone, not the process's cumulative registry. A cold compile
-// records analysis-cache work; a cached repeat of the same request
-// records none of it; and the cold epoch's work counters are identical
-// across fresh servers (its *.us wall times are measurements, not
-// counters, and are not compared).
+// records arena work; a cached repeat of the same request records none
+// of it; and the cold epoch's work counters are identical across fresh
+// servers (its *.us wall times are measurements, not counters, and are
+// not compared).
 TEST(ServeProtocol, StatsEpochIsPerRequest) {
   const char *Request =
       "{\"op\":\"run\",\"workload\":\"mcf\",\"train_scale\":1,"
@@ -227,19 +227,21 @@ TEST(ServeProtocol, StatsEpochIsPerRequest) {
   ServerCore A(testOptions());
   std::string ColdA = A.handle(Request);
   ASSERT_EQ(statusOf(ColdA), 0);
-  int64_t MissesA = EpochCounter(ColdA, "analysis.cache.misses");
-  EXPECT_GT(MissesA, 0) << ColdA;
+  int64_t SlabsA = EpochCounter(ColdA, "alloc.arena.slabs");
+  EXPECT_GT(SlabsA, 0) << ColdA;
 
   // Same request on a fresh server: same epoch counters (determinism).
   ServerCore B(testOptions());
   std::string ColdB = B.handle(Request);
-  EXPECT_EQ(MissesA, EpochCounter(ColdB, "analysis.cache.misses"));
+  EXPECT_EQ(SlabsA, EpochCounter(ColdB, "alloc.arena.slabs"));
 
-  // The cached repeat runs no pipeline: its epoch has cache hits and no
-  // analysis work, however much the process has accumulated.
+  // The cached repeat runs no pipeline: its epoch has a cache hit and no
+  // arena work, however much the process has accumulated.
   std::string Warm = A.handle(Request);
   EXPECT_NE(Warm.find("\"cached\":true"), std::string::npos);
-  EXPECT_EQ(EpochCounter(Warm, "analysis.cache.misses"), 0);
+  for (const char *Key :
+       {"alloc.arena.bytes", "alloc.arena.slabs", "alloc.arena.resets"})
+    EXPECT_EQ(EpochCounter(Warm, Key), 0) << Key;
   EXPECT_EQ(EpochCounter(Warm, "serve.cache.hits"), 1);
 }
 

@@ -257,13 +257,11 @@ int main(int Argc, char **Argv) {
   }
   W.key("stats");
   {
-    // Process-wide registry slice: cache effectiveness and allocation
-    // counters (zero when a build predates the counter).
+    // Process-wide registry slice: the allocation counters (zero when
+    // a build predates the counter).
     W.beginObject();
     for (const char *Key :
-         {"analysis.cache.hits", "analysis.cache.misses",
-          "analysis.cache.invalidations", "alloc.arena.bytes",
-          "alloc.arena.slabs", "alloc.arena.resets"})
+         {"alloc.arena.bytes", "alloc.arena.slabs", "alloc.arena.resets"})
       W.key(Key).value(SR.value(Key));
     W.endObject();
   }

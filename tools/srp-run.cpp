@@ -75,13 +75,11 @@ namespace {
 
 struct Options {
   std::string InputPath;
-  pre::PromotionConfig Promotion = pre::PromotionConfig::alat();
-  bool UseProfile = true;
+  /// The pipeline's config (lint replaces its DisabledPasses).
+  core::PipelineConfig Config = core::configFor(pre::PromotionConfig::alat());
   bool PrintIR = false;
   bool PrintAsm = false;
   bool Stats = false;
-  std::vector<std::string> DisabledPasses;
-  arch::SimConfig Sim;
   // Lint-mode (srp-run lint ...) options.
   bool Lint = false;
   bool Promote = true;     ///< lint the promoted IR (default) or as-is
@@ -113,17 +111,17 @@ bool parseArgs(int Argc, char **Argv, Options &Opts) {
       }
     }
     else if (Arg == "--strategy=conservative")
-      Opts.Promotion = pre::PromotionConfig::conservative();
+      Opts.Config.Promotion = pre::PromotionConfig::conservative();
     else if (Arg == "--strategy=baseline")
-      Opts.Promotion = pre::PromotionConfig::baselineO3();
+      Opts.Config.Promotion = pre::PromotionConfig::baselineO3();
     else if (Arg == "--strategy=alat")
-      Opts.Promotion = pre::PromotionConfig::alat();
+      Opts.Config.Promotion = pre::PromotionConfig::alat();
     else if (Arg == "--cascade")
-      Opts.Promotion.EnableCascade = true;
+      Opts.Config.Promotion.EnableCascade = true;
     else if (Arg == "--sta")
-      Opts.Promotion.UseStA = true;
+      Opts.Config.Promotion.UseStA = true;
     else if (Arg == "--no-profile")
-      Opts.UseProfile = false;
+      Opts.Config.UseAliasProfile = false;
     else if (Arg == "--print-ir")
       Opts.PrintIR = true;
     else if (Arg == "--print-asm")
@@ -131,15 +129,16 @@ bool parseArgs(int Argc, char **Argv, Options &Opts) {
     else if (Arg == "--stats")
       Opts.Stats = true;
     else if (startsWith(Arg, "--disable-pass="))
-      Opts.DisabledPasses.emplace_back(Arg.substr(15));
+      Opts.Config.DisabledPasses.emplace_back(Arg.substr(15));
     else if (startsWith(Arg, "--alat-entries=")) {
-      if (!parseUnsigned(Arg.substr(15), Opts.Sim.Alat.Entries)) {
+      if (!parseUnsigned(Arg.substr(15), Opts.Config.Sim.Alat.Entries)) {
         errs() << "invalid value in '" << Arg
                << "' (expected a decimal integer)\n";
         return false;
       }
     } else if (startsWith(Arg, "--alat-tag-bits=")) {
-      if (!parseUnsigned(Arg.substr(16), Opts.Sim.Alat.PartialTagBits)) {
+      if (!parseUnsigned(Arg.substr(16),
+                         Opts.Config.Sim.Alat.PartialTagBits)) {
         errs() << "invalid value in '" << Arg
                << "' (expected a decimal integer)\n";
         return false;
@@ -157,12 +156,19 @@ bool parseArgs(int Argc, char **Argv, Options &Opts) {
   }
   // Unknown --disable-pass names would silently do nothing; reject them.
   std::vector<std::string> Known = core::standardPassNames();
-  for (const std::string &Name : Opts.DisabledPasses)
+  for (const std::string &Name : Opts.Config.DisabledPasses)
     if (std::find(Known.begin(), Known.end(), Name) == Known.end()) {
       errs() << "unknown pass '" << Name
              << "' in --disable-pass (run 'srp-run passes')\n";
       return false;
     }
+  // A geometry the simulator cannot model is a usage error, not a
+  // finding: reject it before any pass runs.
+  std::string Bad = core::validatePipelineConfig(Opts.Config);
+  if (!Bad.empty()) {
+    errs() << "invalid pipeline config: " << Bad << '\n';
+    return false;
+  }
   return true;
 }
 
@@ -221,9 +227,7 @@ int runLint(ir::Module &M, const Options &Opts) {
   // pre-promotion points-to solution stays valid for the promoted IR).
   core::PipelineState S;
   S.External = &M;
-  S.Config.Promotion = Opts.Promotion;
-  S.Config.Sim = Opts.Sim;
-  S.Config.UseAliasProfile = Opts.UseProfile;
+  S.Config = Opts.Config;
   // taintflow too: --taint runs TaintFlow below, whose solver the
   // witnesses need.
   S.Config.DisabledPasses = {"taintflow", "lower", "regalloc", "simulate"};
@@ -360,10 +364,7 @@ int main(int Argc, char **Argv) {
   // which doubles as the oracle) and promoted in place.
   core::PipelineState S;
   S.External = &M;
-  S.Config.Promotion = Opts.Promotion;
-  S.Config.Sim = Opts.Sim;
-  S.Config.UseAliasProfile = Opts.UseProfile;
-  S.Config.DisabledPasses = Opts.DisabledPasses;
+  S.Config = Opts.Config;
 
   core::PassManager PM;
   core::addStandardPasses(PM);
